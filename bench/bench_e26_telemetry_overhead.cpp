@@ -138,7 +138,7 @@ void BM_ServiceWarmPath(benchmark::State& state, const char* variant) {
 BENCHMARK_CAPTURE(BM_WarmSolve, scalar, "scalar")
     ->DenseRange(10, 18, 2)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_WarmSolve, simd, "simd")
+BENCHMARK_CAPTURE(BM_WarmSolve, simd, "avx2")
     ->DenseRange(10, 18, 2)
     ->Unit(benchmark::kMillisecond);
 
@@ -148,7 +148,7 @@ BENCHMARK_CAPTURE(BM_ServiceWarmPath, scalar, "scalar")
     ->Arg(12)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_ServiceWarmPath, simd, "simd")
+BENCHMARK_CAPTURE(BM_ServiceWarmPath, simd, "avx2")
     ->Arg(12)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);

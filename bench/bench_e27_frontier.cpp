@@ -9,10 +9,10 @@
 // scales with k under the paper's machine-sizing policies?
 //
 //   BM_DenseSolve     warm-arena solve_with_arena at k = 14..20 — the best
-//                     dense variant the CPU dispatches (simd on x86).
+//                     dense variant the CPU supports (simd-avx2 on x86).
 //   BM_FrontierSolve  FrontierSolver::solve_sparse at k = 14..22 — closure
-//                     expansion + sparse waves, end to end, every
-//                     iteration (no cached closure).
+//                     expansion + sparse waves (always the scalar tile),
+//                     end to end, every iteration (no cached closure).
 //
 // Args are {k, policy} with policy 0 = ActionBudget::kQuadratic (N = k²)
 // and 1 = kLinear (N = 4k); instances pad the k meaningful actions with

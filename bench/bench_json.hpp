@@ -19,10 +19,9 @@
 //   variant       state.SetLabel(...) — the kernel variant the run forced
 //   ns_per_solve  real wall time per iteration in nanoseconds
 //   items_per_sec state.SetItemsProcessed rate (0 when unused)
-//   kernel        the dispatch's active kernel variant at emission time —
-//                 records whether the host resolved to scalar /
-//                 simd-portable / simd-avx2, independent of any per-case
-//                 variant pin
+//   kernel        the active kernel variant at emission time — records
+//                 whether the host resolved to scalar / simd-avx2,
+//                 independent of any per-case variant pin
 //   obs           the observability mode the run executed under (the
 //                 TTP_TRACE value; "off" when unset) — numbers taken with
 //                 tracing on are not comparable to numbers taken with it

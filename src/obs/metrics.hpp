@@ -1,11 +1,10 @@
 // Process-wide metrics primitives: counters, gauges, and log2-bucketed
 // histograms, collected in a MetricsRegistry.
 //
-// This is the structured replacement for the ad-hoc util::CounterMap: names
-// are string_view on the hot path (no temporary std::string per add), the
-// backing store is an unordered_map with heterogeneous lookup, and every
-// instrument is safe to update concurrently (atomics behind a stable
-// reference). util::CounterMap survives as a thin shim over this registry.
+// Names are string_view on the hot path (no temporary std::string per
+// add), the backing store is an unordered_map with heterogeneous lookup,
+// and every instrument is safe to update concurrently (atomics behind a
+// stable reference).
 //
 // The registry is deliberately dependency-free so that every layer of the
 // tree (util included) can link against it.
@@ -154,7 +153,7 @@ class MetricsRegistry {
   Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);
 
-  // --- CounterMap-compatible convenience API -------------------------------
+  // --- Name-keyed counter convenience API ----------------------------------
   void add(std::string_view name, std::uint64_t v) { counter(name).add(v); }
   /// 0 for unknown names.
   std::uint64_t get(std::string_view name) const;

@@ -244,13 +244,6 @@ void Scheduler::solve_batch(std::deque<std::shared_ptr<Entry>>& batch) {
   }
   if (error.empty()) {
     kernel_instances_.add(batch.size());
-    // Per-solve variant attribution: svc.solve.variant.{scalar,simd-*}
-    // counts instances, so STATS shows how much traffic each kernel path
-    // actually served (the active variant can change at runtime).
-    metrics_
-        .counter(std::string("svc.solve.variant.") +
-                 std::string(tt::active_kernel_variant_name()))
-        .add(batch.size());
     // Frontier attribution: how many instances the sparse reachable-set
     // path served, how many closure states it touched doing so, and how
     // often a budget-capped expansion fell back dense.
@@ -263,6 +256,14 @@ void Scheduler::solve_batch(std::deque<std::shared_ptr<Entry>>& batch) {
       }
       fr_fallback += r.breakdown.counter("frontier_fallback").value();
     }
+    // Per-solve variant attribution: svc.solve.variant.{scalar,simd-avx2}
+    // counts the dense-path instances, so STATS shows how much traffic each
+    // dense kernel actually served (the active variant can change at
+    // runtime). Frontier instances ran the scalar sparse wave, not it.
+    metrics_
+        .counter(std::string("svc.solve.variant.") +
+                 std::string(tt::active_kernel_variant_name()))
+        .add(batch.size() - fr_instances);
     if (fr_instances != 0) {
       metrics_.add("svc.solve.frontier.instances", fr_instances);
       metrics_.add("svc.solve.frontier.states", fr_states);

@@ -362,9 +362,10 @@ std::string Service::stats_text() const {
      << "admission.max_sparse_k: " << cfg_.scheduler.max_sparse_k << "\n"
      << "admission.sparse_budget_bytes: " << cfg_.scheduler.sparse_budget_bytes
      << "\n";
-  // Which kernel the solve path dispatches to (scalar | simd-portable |
-  // simd-avx2) — operators reading STATS see at a glance whether the
-  // binary picked up AVX2 on this host or was pinned via TTP_KERNEL.
+  // Which dense kernel the solve path runs (scalar | simd-avx2) —
+  // operators reading STATS see at a glance whether the binary picked up
+  // AVX2 on this host or was pinned via TTP_KERNEL. Sparse (frontier)
+  // solves run the scalar tile under either.
   os << "kernel.variant: " << tt::active_kernel_variant_name() << "\n";
   if (store_ != nullptr) {
     os << "store.dir: " << store_->config().dir << "\n"

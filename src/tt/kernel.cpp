@@ -1,11 +1,17 @@
+// The layer-wave kernel: the scalar tile both waves run, variant
+// resolution, the pair phase, and the arena solve loop. Compiled with
+// -ffp-contract=off (src/CMakeLists.txt) so no multiply/add pair contracts
+// into an FMA that the AVX2 path does not also perform.
 #include "tt/kernel.hpp"
 
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <optional>
 #include <string>
 
 #include "obs/trace.hpp"
+#include "tt/kernel_sparse.hpp"
 #include "util/bits.hpp"
 
 namespace ttp::tt {
@@ -48,42 +54,6 @@ void LayerIndex::build(int k) {
   }
 }
 
-bool PairIndex::ensure(const LayerIndex& layers, const ActionSoA& a) {
-  const int k = layers.k();
-  const std::size_t states = std::size_t{1} << k;
-  const std::size_t n = static_cast<std::size_t>(a.num_actions);
-  const std::size_t entries = states * n;
-  if (entries * 2 * sizeof(std::uint32_t) > kMaxBytes) return false;
-  if (k_ == k && sets_ == a.set) return true;  // exact match: reuse
-
-  k_ = k;
-  sets_ = a.set;
-  layer_off_.assign(static_cast<std::size_t>(k) + 1, 0);
-  layer_size_.assign(static_cast<std::size_t>(k) + 1, 0);
-  inter_.resize_discard(entries);
-  minus_.resize_discard(entries);
-  for (int j = 0; j <= k; ++j) {
-    const std::span<const Mask> layer = layers.layer(j);
-    layer_off_[static_cast<std::size_t>(j)] = layers.layer_begin(j) * n;
-    layer_size_[static_cast<std::size_t>(j)] = layer.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint32_t* ir =
-          inter_.data() + layer_off_[static_cast<std::size_t>(j)] +
-          i * layer.size();
-      std::uint32_t* mr =
-          minus_.data() + layer_off_[static_cast<std::size_t>(j)] +
-          i * layer.size();
-      const Mask ts = a.set[i];
-      const Mask tn = a.nset[i];
-      for (std::size_t p = 0; p < layer.size(); ++p) {
-        ir[p] = static_cast<std::uint32_t>(layer[p] & ts);
-        mr[p] = static_cast<std::uint32_t>(layer[p] & tn);
-      }
-    }
-  }
-  return true;
-}
-
 void SolveArena::prepare_tables(std::size_t states) {
   cost_.resize_discard(states);
   best_.resize_discard(states);
@@ -92,36 +62,80 @@ void SolveArena::prepare_tables(std::size_t states) {
   cost_.data()[0] = 0.0;
 }
 
-namespace detail {
+namespace {
+
+// The scalar tile, shared by the dense and the sparse wave. The two
+// differ in exactly three places, which the Rows policy supplies for tile
+// position t holding state mask s:
+//
+//   rows.ps(t, s)               p(S)
+//   rows.inter(i, t, S∩T_i)     table index of C(S∩T_i)
+//   rows.minus(i, t, S−T_i)     table index of C(S−T_i)
+//   rows.out(t, s)              table index the result is written to
+//
+// Validity is always recomputed from the masks, so an invalid split's
+// index may point at any finalized entry (the sparse rows use slot 0).
+
+/// Dense tables are indexed by mask: a child's index is S∩T_i / S−T_i
+/// itself, p(S) is wt[S], and S's result lands at index S.
+struct MaskRows {
+  const double* wt;
+  double ps(std::size_t, Mask s) const { return wt[s]; }
+  Mask inter(std::size_t, std::size_t, Mask im) const { return im; }
+  Mask minus(std::size_t, std::size_t, Mask mm) const { return mm; }
+  std::size_t out(std::size_t, Mask s) const { return s; }
+};
+
+/// Sparse tables are indexed by closure slot: position t reads p(S) from
+/// ws[t] and its children's slots from the action-major rows (row i
+/// starts at i·stride), and writes slot `slot + t`.
+struct SlotRows {
+  const double* ws;
+  const std::uint32_t* ir;
+  const std::uint32_t* mr;
+  std::size_t stride;
+  std::size_t slot;
+  double ps(std::size_t t, Mask) const { return ws[t]; }
+  std::uint32_t inter(std::size_t i, std::size_t t, Mask) const {
+    return ir[i * stride + t];
+  }
+  std::uint32_t minus(std::size_t i, std::size_t t, Mask) const {
+    return mr[i * stride + t];
+  }
+  std::size_t out(std::size_t t, Mask) const { return slot + t; }
+};
 
 /// One tile: `m` states against every action, tests first then treatments
 /// (two branch-free runs), running best/argmin held in stack arrays.
-void eval_tile_scalar(const ActionSoA& a, const double* __restrict wt,
-                      const Mask* __restrict states, std::size_t m,
-                      double* __restrict cost, int* __restrict best) {
+template <class Rows>
+void eval_tile(const ActionSoA& a, const Rows rows,
+               const Mask* __restrict states, std::size_t m,
+               double* __restrict cost, int* __restrict best) {
   Mask s_arr[kKernelTile];
   double ws[kKernelTile];
   double bv[kKernelTile];
   int bi[kKernelTile];
   for (std::size_t t = 0; t < m; ++t) {
     s_arr[t] = states[t];
-    ws[t] = wt[s_arr[t]];
+    ws[t] = rows.ps(t, s_arr[t]);
     bv[t] = kInf;
     bi[t] = -1;
   }
   for (int i = 0; i < a.num_tests; ++i) {
-    const Mask ts = a.set[static_cast<std::size_t>(i)];
-    const Mask tn = a.nset[static_cast<std::size_t>(i)];
-    const double tc = a.cost[static_cast<std::size_t>(i)];
+    const std::size_t ui = static_cast<std::size_t>(i);
+    const Mask ts = a.set[ui];
+    const Mask tn = a.nset[ui];
+    const double tc = a.cost[ui];
     for (std::size_t t = 0; t < m; ++t) {
       const Mask s = s_arr[t];
       const Mask inter = s & ts;
       const Mask minus = s & tn;
-      // Invalid splits read cost[0] == 0 or the state's own still-kInf
-      // slot — finite-or-inf either way, never NaN — so the select after
+      // Invalid splits read cost[∅] == 0 or the state's own still-kInf
+      // entry — finite-or-inf either way, never NaN — so the select after
       // the arithmetic gives the same value action_value's early returns
       // produce.
-      double v = m_test_value(tc, ws[t], cost[inter], cost[minus]);
+      double v = m_test_value(tc, ws[t], cost[rows.inter(ui, t, inter)],
+                              cost[rows.minus(ui, t, minus)]);
       v = ((inter == 0) | (minus == 0)) ? kInf : v;
       const bool lt = v < bv[t];
       bv[t] = lt ? v : bv[t];
@@ -129,14 +143,15 @@ void eval_tile_scalar(const ActionSoA& a, const double* __restrict wt,
     }
   }
   for (int i = a.num_tests; i < a.num_actions; ++i) {
-    const Mask ts = a.set[static_cast<std::size_t>(i)];
-    const Mask tn = a.nset[static_cast<std::size_t>(i)];
-    const double tc = a.cost[static_cast<std::size_t>(i)];
+    const std::size_t ui = static_cast<std::size_t>(i);
+    const Mask ts = a.set[ui];
+    const Mask tn = a.nset[ui];
+    const double tc = a.cost[ui];
     for (std::size_t t = 0; t < m; ++t) {
       const Mask s = s_arr[t];
       const Mask inter = s & ts;
       const Mask minus = s & tn;
-      double v = m_treat_value(tc, ws[t], cost[minus]);
+      double v = m_treat_value(tc, ws[t], cost[rows.minus(ui, t, minus)]);
       v = inter == 0 ? kInf : v;
       const bool lt = v < bv[t];
       bv[t] = lt ? v : bv[t];
@@ -144,51 +159,160 @@ void eval_tile_scalar(const ActionSoA& a, const double* __restrict wt,
     }
   }
   for (std::size_t t = 0; t < m; ++t) {
-    cost[s_arr[t]] = bv[t];
-    best[s_arr[t]] = bi[t];
+    cost[rows.out(t, s_arr[t])] = bv[t];
+    best[rows.out(t, s_arr[t])] = bi[t];
   }
 }
 
-double eval_pair_scalar(const ActionSoA& a, const double* wt,
-                        const double* cost, Mask s, std::size_t i) {
-  const Mask inter = s & a.set[i];
-  const Mask minus = s & a.nset[i];
-  double v;
-  if (i < static_cast<std::size_t>(a.num_tests)) {
-    v = m_test_value(a.cost[i], wt[s], cost[inter], cost[minus]);
-    v = (inter == 0 || minus == 0) ? kInf : v;
-  } else {
-    v = m_treat_value(a.cost[i], wt[s], cost[minus]);
-    v = inter == 0 ? kInf : v;
-  }
-  return v;
+}  // namespace
+
+namespace detail {
+
+void eval_tile_scalar(const ActionSoA& a, const double* wt, const Mask* states,
+                      std::size_t m, double* cost, int* best) {
+  eval_tile(a, MaskRows{wt}, states, m, cost, best);
 }
 
-namespace {
+}  // namespace detail
 
-std::uint64_t eval_states_scalar(const ActionSoA& a, const double* wt,
-                                 const Mask* states, std::size_t count,
-                                 double* cost, int* best,
-                                 const KernelCtx* /*ctx*/) {
+std::uint64_t eval_states_sparse(const ActionSoA& a, const Mask* states,
+                                 const double* ws, const std::uint32_t* inter,
+                                 const std::uint32_t* minus, std::size_t stride,
+                                 std::size_t count, double* cost, int* best,
+                                 std::size_t slot_base) {
   for (std::size_t base = 0; base < count; base += kKernelTile) {
     const std::size_t m = std::min(kKernelTile, count - base);
-    TTP_TRACE_SPAN(tile_span, "kernel.tile");
-    tile_span.attr("base", static_cast<std::uint64_t>(base));
-    tile_span.attr("states", static_cast<std::uint64_t>(m));
-    eval_tile_scalar(a, wt, states + base, m, cost, best);
+    eval_tile(a,
+              SlotRows{ws + base, inter + base, minus + base, stride,
+                       slot_base + base},
+              states + base, m, cost, best);
   }
   return static_cast<std::uint64_t>(count) *
          static_cast<std::uint64_t>(a.num_actions);
 }
 
-void eval_pairs_scalar(const ActionSoA& a, const double* wt,
-                       const double* cost, const Mask* states,
-                       std::size_t begin, std::size_t end, double* m) {
+// ---------------------------------------------------------------------------
+// Variant resolution
+
+namespace {
+
+/// What "auto" (and an unset TTP_KERNEL) means: AVX2 when it can run.
+KernelVariant best_variant() noexcept {
+  return kernel_avx2_available() ? KernelVariant::kSimdAvx2
+                                 : KernelVariant::kScalar;
+}
+
+/// TTP_KERNEL (or a set_kernel_variant spec) -> variant; nullopt for an
+/// unavailable or unrecognized request.
+std::optional<KernelVariant> variant_for_spec(std::string_view spec) noexcept {
+  if (spec == "scalar") return KernelVariant::kScalar;
+  if (spec == "avx2") {
+    if (kernel_avx2_available()) return KernelVariant::kSimdAvx2;
+    return std::nullopt;
+  }
+  if (spec == "auto") return best_variant();
+  return std::nullopt;
+}
+
+constexpr int kUnresolved = -1;
+std::atomic<int> g_variant{kUnresolved};
+
+}  // namespace
+
+bool kernel_avx2_available() noexcept {
+#if defined(TTP_KERNEL_HAS_AVX2) && (defined(__x86_64__) || defined(__i386__))
+  return __builtin_cpu_supports("avx2") != 0;
+#else
+  return false;
+#endif
+}
+
+/// First use consults TTP_KERNEL and falls back to the best variant the
+/// CPU supports. An unrecognized value degrades to auto rather than
+/// aborting a serving binary at startup.
+KernelVariant active_kernel_variant() noexcept {
+  const int v = g_variant.load(std::memory_order_acquire);
+  if (v != kUnresolved) return static_cast<KernelVariant>(v);
+  const char* env = std::getenv("TTP_KERNEL");
+  const KernelVariant resolved =
+      variant_for_spec(env != nullptr ? env : "auto").value_or(best_variant());
+  // Concurrent first calls may race to store; every candidate store is a
+  // valid resolution of the same environment, so last-writer-wins is fine.
+  g_variant.store(static_cast<int>(resolved), std::memory_order_release);
+  return resolved;
+}
+
+std::string_view kernel_variant_name(KernelVariant v) noexcept {
+  switch (v) {
+    case KernelVariant::kScalar:
+      return "scalar";
+    case KernelVariant::kSimdAvx2:
+      return "simd-avx2";
+  }
+  return "unknown";
+}
+
+std::string_view active_kernel_variant_name() noexcept {
+  return kernel_variant_name(active_kernel_variant());
+}
+
+bool set_kernel_variant(std::string_view spec) noexcept {
+  const std::optional<KernelVariant> v = variant_for_spec(spec);
+  if (!v) return false;
+  g_variant.store(static_cast<int>(*v), std::memory_order_release);
+  return true;
+}
+
+// ---------------------------------------------------------------------------
+// Public entry points
+
+std::uint64_t eval_states(const ActionSoA& a, const double* wt,
+                          const Mask* states, std::size_t count, double* cost,
+                          int* best) {
+  TTP_TRACE_SPAN(wave_span, "kernel.wave");
+  wave_span.attr("states", static_cast<std::uint64_t>(count));
+  wave_span.attr("actions", a.num_actions);
+  TTP_METRIC_ADD("kernel.waves", 1);
+  TTP_METRIC_HIST("kernel.wave_states", count);
+  const std::uint64_t evals = static_cast<std::uint64_t>(count) *
+                              static_cast<std::uint64_t>(a.num_actions);
+#if defined(TTP_KERNEL_HAS_AVX2)
+  if (active_kernel_variant() == KernelVariant::kSimdAvx2) {
+    detail::eval_states_avx2(a, wt, states, count, cost, best);
+    return evals;
+  }
+#endif
+  for (std::size_t base = 0; base < count; base += kKernelTile) {
+    const std::size_t m = std::min(kKernelTile, count - base);
+    TTP_TRACE_SPAN(tile_span, "kernel.tile");
+    tile_span.attr("base", static_cast<std::uint64_t>(base));
+    tile_span.attr("states", static_cast<std::uint64_t>(m));
+    eval_tile(a, MaskRows{wt}, states + base, m, cost, best);
+  }
+  return evals;
+}
+
+void eval_pairs(const ActionSoA& a, const double* wt, const double* cost,
+                const Mask* states, std::size_t begin, std::size_t end,
+                double* m) {
+  TTP_TRACE_SPAN(span, "kernel.pairs");
+  span.attr("pairs", static_cast<std::uint64_t>(end - begin));
   const std::size_t n = static_cast<std::size_t>(a.num_actions);
   std::size_t pos = begin / n;
   std::size_t i = begin % n;
   for (std::size_t idx = begin; idx < end; ++idx) {
-    m[idx] = eval_pair_scalar(a, wt, cost, states[pos], i);
+    const Mask s = states[pos];
+    const Mask inter = s & a.set[i];
+    const Mask minus = s & a.nset[i];
+    double v;
+    if (i < static_cast<std::size_t>(a.num_tests)) {
+      v = m_test_value(a.cost[i], wt[s], cost[inter], cost[minus]);
+      v = (inter == 0 || minus == 0) ? kInf : v;
+    } else {
+      v = m_treat_value(a.cost[i], wt[s], cost[minus]);
+      v = inter == 0 ? kInf : v;
+    }
+    m[idx] = v;
     if (++i == n) {
       i = 0;
       ++pos;
@@ -196,9 +320,10 @@ void eval_pairs_scalar(const ActionSoA& a, const double* wt,
   }
 }
 
-void reduce_pairs_scalar(const ActionSoA& a, const double* m,
-                         const Mask* states, std::size_t begin,
-                         std::size_t end, double* cost, int* best) {
+void reduce_pairs(const ActionSoA& a, const double* m, const Mask* states,
+                  std::size_t begin, std::size_t end, double* cost, int* best) {
+  TTP_TRACE_SPAN(span, "kernel.reduce");
+  span.attr("states", static_cast<std::uint64_t>(end - begin));
   const std::size_t n = static_cast<std::size_t>(a.num_actions);
   for (std::size_t pos = begin; pos < end; ++pos) {
     const double* row = m + pos * n;
@@ -213,127 +338,6 @@ void reduce_pairs_scalar(const ActionSoA& a, const double* m,
     cost[states[pos]] = bv;
     best[states[pos]] = bi;
   }
-}
-
-}  // namespace
-
-const KernelOps& scalar_ops() noexcept {
-  static constexpr KernelOps ops{eval_states_scalar, eval_pairs_scalar,
-                                 reduce_pairs_scalar, KernelVariant::kScalar};
-  return ops;
-}
-
-}  // namespace detail
-
-// ---------------------------------------------------------------------------
-// Variant resolution & dispatch
-
-namespace {
-
-const detail::KernelOps* best_simd_ops() noexcept {
-#if defined(TTP_KERNEL_HAS_AVX2)
-  if (kernel_avx2_available()) return &detail::avx2_ops();
-#endif
-  return &detail::portable_ops();
-}
-
-/// TTP_KERNEL (or a set_kernel_variant spec) -> ops table; nullptr for an
-/// unavailable or unrecognized request.
-const detail::KernelOps* ops_for_spec(std::string_view spec) noexcept {
-  if (spec == "scalar") return &detail::scalar_ops();
-  if (spec == "portable") return &detail::portable_ops();
-  if (spec == "avx2") {
-#if defined(TTP_KERNEL_HAS_AVX2)
-    if (kernel_avx2_available()) return &detail::avx2_ops();
-#endif
-    return nullptr;
-  }
-  if (spec == "simd" || spec == "auto" || spec.empty()) return best_simd_ops();
-  return nullptr;
-}
-
-std::atomic<const detail::KernelOps*> g_ops{nullptr};
-
-/// First-use resolution: consult TTP_KERNEL, fall back to the best SIMD the
-/// CPU supports. An unrecognized value degrades to auto rather than
-/// aborting a serving binary at startup.
-const detail::KernelOps* resolve_ops() noexcept {
-  const detail::KernelOps* ops = g_ops.load(std::memory_order_acquire);
-  if (ops != nullptr) return ops;
-  const char* env = std::getenv("TTP_KERNEL");
-  const detail::KernelOps* resolved =
-      ops_for_spec(env == nullptr ? std::string_view{} : std::string_view{env});
-  if (resolved == nullptr) resolved = best_simd_ops();
-  // Concurrent first calls may race to store; every candidate store is a
-  // valid resolution of the same environment, so last-writer-wins is fine.
-  g_ops.store(resolved, std::memory_order_release);
-  return resolved;
-}
-
-}  // namespace
-
-bool kernel_avx2_available() noexcept {
-#if defined(TTP_KERNEL_HAS_AVX2) && (defined(__x86_64__) || defined(__i386__))
-  return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
-#endif
-}
-
-KernelVariant active_kernel_variant() noexcept { return resolve_ops()->variant; }
-
-std::string_view kernel_variant_name(KernelVariant v) noexcept {
-  switch (v) {
-    case KernelVariant::kScalar:
-      return "scalar";
-    case KernelVariant::kSimdPortable:
-      return "simd-portable";
-    case KernelVariant::kSimdAvx2:
-      return "simd-avx2";
-  }
-  return "unknown";
-}
-
-std::string_view active_kernel_variant_name() noexcept {
-  return kernel_variant_name(active_kernel_variant());
-}
-
-bool set_kernel_variant(std::string_view spec) noexcept {
-  const detail::KernelOps* ops = ops_for_spec(spec);
-  if (ops == nullptr) return false;
-  g_ops.store(ops, std::memory_order_release);
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// Public entry points (dispatching)
-
-std::uint64_t eval_states(const ActionSoA& a, const double* wt,
-                          const Mask* states, std::size_t count, double* cost,
-                          int* best, const KernelCtx* ctx) {
-  TTP_TRACE_SPAN(wave_span, "kernel.wave");
-  wave_span.attr("states", static_cast<std::uint64_t>(count));
-  wave_span.attr("actions", a.num_actions);
-  const std::uint64_t evals =
-      resolve_ops()->eval_states(a, wt, states, count, cost, best, ctx);
-  TTP_METRIC_ADD("kernel.waves", 1);
-  TTP_METRIC_HIST("kernel.wave_states", count);
-  return evals;
-}
-
-void eval_pairs(const ActionSoA& a, const double* wt, const double* cost,
-                const Mask* states, std::size_t begin, std::size_t end,
-                double* m) {
-  TTP_TRACE_SPAN(span, "kernel.pairs");
-  span.attr("pairs", static_cast<std::uint64_t>(end - begin));
-  resolve_ops()->eval_pairs(a, wt, cost, states, begin, end, m);
-}
-
-void reduce_pairs(const ActionSoA& a, const double* m, const Mask* states,
-                  std::size_t begin, std::size_t end, double* cost, int* best) {
-  TTP_TRACE_SPAN(span, "kernel.reduce");
-  span.attr("states", static_cast<std::uint64_t>(end - begin));
-  resolve_ops()->reduce_pairs(a, m, states, begin, end, cost, best);
 }
 
 SolveResult solve_with_arena(const Instance& ins, SolveArena& arena,
@@ -352,18 +356,6 @@ SolveResult solve_with_arena(const Instance& ins, SolveArena& arena,
 
   const LayerIndex& layers = arena.layers(k);
   const ActionSoA& soa = arena.actions(ins);
-  // Gather indices depend only on (k, action sets): free on reuse, one
-  // AND-and-store pass when the arena sees a new action structure. Only
-  // profitable while the index rows stay cache-resident, though — above
-  // kPairIndexHotBytes the per-evaluation index loads cost more memory
-  // traffic than the two register ANDs they replace (measured: k=14, N=20
-  // is ~20% slower with the 2.6 MB index than without), so large solves
-  // run ctx-free and the SIMD paths compute indices in-register.
-  const bool want_ctx =
-      active_kernel_variant() != KernelVariant::kScalar &&
-      states * static_cast<std::size_t>(N) * 2 * sizeof(std::uint32_t) <=
-          kPairIndexHotBytes;
-  const PairIndex* pidx = want_ctx ? arena.pair_index() : nullptr;
   arena.prepare_tables(states);
   double* cost = arena.cost();
   int* best = arena.best();
@@ -372,16 +364,8 @@ SolveResult solve_with_arena(const Instance& ins, SolveArena& arena,
     TTP_TRACE_SPAN(layer_span, "layer", res.steps);
     layer_span.attr("j", j);
     const std::span<const Mask> layer = layers.layer(j);
-    KernelCtx ctx;
-    if (pidx != nullptr) {
-      ctx.inter = pidx->inter_row(j, 0);
-      ctx.minus = pidx->minus_row(j, 0);
-      ctx.stride = pidx->stride(j);
-      ctx.base = 0;
-    }
     const std::uint64_t evals =
-        eval_states(soa, wt.data(), layer.data(), layer.size(), cost, best,
-                    pidx != nullptr ? &ctx : nullptr);
+        eval_states(soa, wt.data(), layer.data(), layer.size(), cost, best);
     // Sequential cost model: one parallel step per M-evaluation.
     res.steps.charge(evals, evals);
   }

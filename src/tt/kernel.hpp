@@ -15,40 +15,39 @@
 //    name, so scanning a vector<Action> in the inner loop drags ~56-byte
 //    strides through the cache and a bounds-checked `actions_.at(i)` per
 //    evaluation; the SoA keeps the three words the loop needs contiguous.
-//  * eval_states() — the per-layer wave. Dispatches once, at first use, to
-//    one of three byte-identical implementations (see "Kernel variants"
-//    below): the scalar reference (cache-blocked tiles, branch-free
-//    selects), a portable 4-wide SIMD path (GCC/Clang vector extensions),
-//    or an AVX2 path (gathered table reads, vector blend min/argmin).
-//    The arithmetic (association order, strict `<` minimization ascending
-//    in i) is lane-for-lane identical to the reference action_value()
-//    loop, so every variant produces byte-identical cost/best_action
-//    tables (tests/test_kernel_simd.cpp enforces this).
+//  * eval_states() — the per-layer wave. Runs one of two byte-identical
+//    implementations (see "Kernel variants" below): the scalar reference
+//    tile (cache-blocked, branch-free selects — the same tile body the
+//    sparse wave in kernel_sparse.hpp runs), or an AVX2 path that computes
+//    S∩T_i in registers and gathers the table reads. The arithmetic
+//    (association order, strict `<` minimization ascending in i) is
+//    lane-for-lane identical to the reference action_value() loop, so both
+//    produce byte-identical cost/best_action tables
+//    (tests/test_kernel_simd.cpp enforces this).
 //  * eval_pairs()/reduce_pairs() — the same evaluation split into the
 //    paper's (S,i)-pair phase plus a per-state min phase, for
-//    ThreadsSolver's pair-parallel mode. Dispatched like eval_states.
+//    ThreadsSolver's pair-parallel mode. Scalar only: no serving path
+//    runs them.
 //  * SolveArena — owns the cost/best-action/M-buffer storage (64-byte
-//    aligned, growth-capped — see AlignedBuf) plus the per-k layer index,
-//    the SoA, and the per-(k, action-set) gather-index table (PairIndex),
-//    all reused across solves so a high-QPS caller stops re-deriving layer
-//    subsets and re-allocating tables on every request.
+//    aligned, growth-capped — see AlignedBuf) plus the per-k layer index
+//    and the SoA, all reused across solves so a high-QPS caller stops
+//    re-deriving layer subsets and re-allocating tables on every request.
 //  * solve_with_arena() — the full sequential layer sweep on arena
 //    storage: the serving hot path shared by SequentialSolver and
 //    BatchSolver (solver_batch.hpp).
 //
-// Kernel variants & dispatch
-// --------------------------
+// Kernel variants
+// ---------------
 // The active variant is resolved once from the TTP_KERNEL environment
-// variable ("scalar", "simd", "portable", "avx2", "auto"; unset == auto ==
-// best SIMD the CPU supports) plus a one-time CPUID check, and can be
-// forced programmatically with set_kernel_variant() (tests, benches, the
-// serving daemon's knob). The scalar path is the normative reference; the
-// SIMD paths assign one STATE per vector lane and walk actions in the same
+// variable ("scalar", "avx2", "auto"; unset == auto == AVX2 when the CPU
+// and the build support it, scalar otherwise) and can be forced
+// programmatically with set_kernel_variant() (tests, benches, the serving
+// daemon's knob). The scalar tile is the normative reference; the AVX2
+// path assigns one STATE per vector lane and walks actions in the same
 // ascending order with the same strict-< blend, so min/argmin association
 // matches the scalar loop lane for lane (docs/kernel.md has the proof
-// sketch). Remainder states (count % lane-width) always go through the
-// scalar tile, so layer sizes not divisible by the vector width cannot
-// diverge.
+// sketch). Remainder states (count % 4) always go through the scalar
+// tile, so layer sizes not divisible by the vector width cannot diverge.
 //
 // Step accounting is the caller's policy, not the kernel's: eval_states
 // returns the number of M-evaluations performed and each solver charges
@@ -83,28 +82,28 @@ inline double m_treat_value(double t_cost, double ps,
 // ---------------------------------------------------------------------------
 // Kernel variant selection
 
-/// The resolved kernel implementations. kScalar is the normative reference;
-/// the two SIMD variants are byte-identical accelerations of it.
+/// The dense wave implementations. kScalar is the normative reference;
+/// kSimdAvx2 is a byte-identical acceleration of it. The sparse wave and
+/// the pair phase always run the scalar tile.
 enum class KernelVariant {
-  kScalar,        ///< Reference tiles (PR 2).
-  kSimdPortable,  ///< 4-wide GCC/Clang vector extensions; any target.
-  kSimdAvx2,      ///< AVX2 gathers + blends; needs CPU + build support.
+  kScalar,    ///< Reference tiles.
+  kSimdAvx2,  ///< AVX2 gathers + blends; needs CPU + build support.
 };
 
-/// The variant all kernel entry points currently dispatch to. First call
-/// resolves TTP_KERNEL + CPUID; later calls are one relaxed atomic load.
+/// The variant eval_states currently runs. First call resolves
+/// TTP_KERNEL + CPUID; later calls are one atomic load.
 KernelVariant active_kernel_variant() noexcept;
 
-/// "scalar", "simd-portable", or "simd-avx2".
+/// "scalar" or "simd-avx2".
 std::string_view kernel_variant_name(KernelVariant v) noexcept;
 
 /// kernel_variant_name(active_kernel_variant()).
 std::string_view active_kernel_variant_name() noexcept;
 
-/// Forces the dispatch. Accepts "scalar", "portable", "avx2", "simd" (best
-/// available SIMD), or "auto" (same resolution as an unset TTP_KERNEL).
-/// Returns false — and leaves the dispatch unchanged — when the requested
-/// variant is not available on this CPU/build (only possible for "avx2").
+/// Forces the variant. Accepts "scalar", "avx2", or "auto" (same
+/// resolution as an unset TTP_KERNEL). Returns false — and leaves the
+/// variant unchanged — for any other spec, and for "avx2" when this
+/// CPU/build cannot run it.
 bool set_kernel_variant(std::string_view spec) noexcept;
 
 /// True when the AVX2 variant is compiled in AND the CPU reports AVX2.
@@ -143,12 +142,6 @@ class LayerIndex {
     return {masks_.data() + b, e - b};
   }
 
-  /// Position of layer j's first state within the 0..2^k-1 enumeration
-  /// (PairIndex rows are laid out in this global order).
-  std::size_t layer_begin(int j) const {
-    return offsets_[static_cast<std::size_t>(j)];
-  }
-
  private:
   int k_ = -1;
   std::vector<Mask> masks_;
@@ -157,7 +150,7 @@ class LayerIndex {
 
 /// 64-byte-aligned, growth-capped storage for the arena's flat tables.
 /// resize_discard() never copies old contents on growth — every user fully
-/// reinitializes (prepare_tables, PairIndex::build, the pair-phase M
+/// reinitializes (prepare_tables, the frontier tables, the pair-phase M
 /// buffer) — and capacity is monotone, so steady-state arena reuse touches
 /// the allocator exactly zero times. Alignment is asserted in debug builds;
 /// 64 bytes covers a full cache line and every vector width up to AVX-512.
@@ -207,82 +200,6 @@ class AlignedBuf {
   std::size_t cap_ = 0;
 };
 
-/// Precomputed gather indices: for every (layer j, action i, position p)
-/// the subset indices the recurrence reads, laid out action-major and
-/// layer-contiguous:
-///
-///   inter[row(j,i) + p] = states_j[p] & T_i      (= index of C(S∩T_i))
-///   minus[row(j,i) + p] = states_j[p] & ~T_i     (= index of C(S−T_i))
-///
-/// where states_j is LayerIndex::layer(j) and row(j,i) starts at
-/// layer_begin(j)·N + i·|layer j|. The SIMD eval_states loads four indices
-/// with one 128-bit load (and prefetches the next tile's) instead of
-/// recomputing the ANDs per evaluation, and — because the table depends
-/// only on (k, action sets) — BatchSolver / serving arenas reuse it across
-/// every request with the same action structure. Weights and costs do NOT
-/// invalidate it.
-class PairIndex {
- public:
-  /// Hard cap on table bytes (inter + minus). Above this, ensure() reports
-  /// false and the SIMD paths compute indices in-register instead; keeps a
-  /// k=24 arena from allocating gigabytes behind the caller's back.
-  static constexpr std::size_t kMaxBytes = std::size_t{64} << 20;
-
-  /// Builds for (layers.k(), a) unless the cached table already matches
-  /// (exact set comparison, no hash collisions). Returns false when the
-  /// table would exceed kMaxBytes.
-  bool ensure(const LayerIndex& layers, const ActionSoA& a);
-
-  /// Row base for (layer j, action i); valid positions are
-  /// 0..|layer j|-1. Call only after a successful ensure().
-  const std::uint32_t* inter_row(int j, int i) const noexcept {
-    return inter_.data() + row_offset(j, i);
-  }
-  const std::uint32_t* minus_row(int j, int i) const noexcept {
-    return minus_.data() + row_offset(j, i);
-  }
-
-  /// Distance between consecutive action rows of layer j (= |layer j|).
-  std::size_t stride(int j) const noexcept {
-    return layer_size_[static_cast<std::size_t>(j)];
-  }
-
- private:
-  std::size_t row_offset(int j, int i) const noexcept {
-    return layer_off_[static_cast<std::size_t>(j)] +
-           static_cast<std::size_t>(i) * stride(j);
-  }
-
-  int k_ = -1;
-  std::vector<Mask> sets_;  ///< exact match key: the action sets
-  std::vector<std::size_t> layer_off_;
-  std::vector<std::size_t> layer_size_;
-  AlignedBuf<std::uint32_t> inter_;
-  AlignedBuf<std::uint32_t> minus_;
-};
-
-/// Largest PairIndex (inter + minus bytes) the solve paths will route
-/// through a KernelCtx. The precomputed rows only pay off while they stay
-/// cache-resident: each evaluation trades two register ANDs for an 8-byte
-/// index load, so once the table spills L2 the loads cost more bandwidth
-/// than they save (measured ~20% regression at k=14, N=20 on a 2 MiB-L2
-/// part). Above this, solves run ctx-free and the SIMD kernels compute
-/// indices in-register.
-inline constexpr std::size_t kPairIndexHotBytes = std::size_t{1} << 20;
-
-/// Optional acceleration context for eval_states: the PairIndex rows of the
-/// layer being evaluated. `inter`/`minus` point at the (j, action 0) rows,
-/// `stride` is the layer size, and `base` is the position of states[0]
-/// within the layer (nonzero when a caller evaluates a sub-range, as
-/// ThreadsSolver does). Passing nullptr is always valid — the SIMD paths
-/// then compute the ANDs in vector registers.
-struct KernelCtx {
-  const std::uint32_t* inter = nullptr;
-  const std::uint32_t* minus = nullptr;
-  std::size_t stride = 0;
-  std::size_t base = 0;
-};
-
 /// States per scalar kernel tile. The tile's running best/argmin and
 /// hoisted p(S) values live in ~3 KiB of stack, well inside L1.
 inline constexpr std::size_t kKernelTile = 128;
@@ -290,11 +207,11 @@ inline constexpr std::size_t kKernelTile = 128;
 /// Evaluates C(S) = min_i M[S,i] and its argmin for `count` states of one
 /// layer (lower layers finalized in `cost`), writing cost[s] and best[s]
 /// for each. Tie rule: lowest action index. Returns the number of
-/// M-evaluations performed (count · num_actions). Dispatches to the active
-/// kernel variant; `ctx` (optional) supplies precomputed gather indices.
+/// M-evaluations performed (count · num_actions). Runs the active kernel
+/// variant.
 std::uint64_t eval_states(const ActionSoA& a, const double* wt,
                           const Mask* states, std::size_t count, double* cost,
-                          int* best, const KernelCtx* ctx = nullptr);
+                          int* best);
 
 /// Pair phase of the paper's decomposition: M[S,i] for the pair indices
 /// [begin, end) of a layer, where pair idx maps to (states[idx / N],
@@ -343,20 +260,12 @@ class SolveArena {
     return m_.data();
   }
 
-  /// Gather-index table for the current (layers(), actions()) pair —
-  /// call those first. Returns nullptr when the table would exceed
-  /// PairIndex::kMaxBytes; solve paths then run without a KernelCtx.
-  const PairIndex* pair_index() {
-    return pairs_.ensure(layers_, soa_) ? &pairs_ : nullptr;
-  }
-
  private:
   LayerIndex layers_;
   ActionSoA soa_;
   AlignedBuf<double> cost_;
   AlignedBuf<int> best_;
   AlignedBuf<double> m_;
-  PairIndex pairs_;
 };
 
 /// Full sequential layer-wave solve on `arena` storage. Identical results
@@ -370,33 +279,18 @@ SolveResult solve_with_arena(const Instance& ins, SolveArena& arena,
 
 namespace detail {
 
-/// The dispatch table every public kernel entry point routes through. One
-/// instance per variant; resolve/force swings an atomic pointer.
-struct KernelOps {
-  std::uint64_t (*eval_states)(const ActionSoA&, const double*, const Mask*,
-                               std::size_t, double*, int*, const KernelCtx*);
-  void (*eval_pairs)(const ActionSoA&, const double*, const double*,
-                     const Mask*, std::size_t, std::size_t, double*);
-  void (*reduce_pairs)(const ActionSoA&, const double*, const Mask*,
-                       std::size_t, std::size_t, double*, int*);
-  KernelVariant variant;
-};
-
-/// The scalar reference tile (m <= kKernelTile): the SIMD variants call it
-/// for remainder lanes so sub-width counts stay byte-identical by
-/// construction.
+/// The scalar reference tile (m <= kKernelTile) on mask-indexed tables: the
+/// AVX2 wave calls it for remainder lanes so sub-width counts stay
+/// byte-identical by construction.
 void eval_tile_scalar(const ActionSoA& a, const double* wt, const Mask* states,
                       std::size_t m, double* cost, int* best);
 
-/// One scalar M[S,i] with the validity select folded in; shared by the
-/// SIMD eval_pairs remainder paths.
-double eval_pair_scalar(const ActionSoA& a, const double* wt,
-                        const double* cost, Mask s, std::size_t i);
-
-const KernelOps& scalar_ops() noexcept;
-const KernelOps& portable_ops() noexcept;  // kernel_simd.cpp
 #if defined(TTP_KERNEL_HAS_AVX2)
-const KernelOps& avx2_ops() noexcept;      // kernel_simd_avx2.cpp
+/// The AVX2 dense wave (kernel_simd_avx2.cpp); call only when
+/// kernel_avx2_available().
+void eval_states_avx2(const ActionSoA& a, const double* wt,
+                      const Mask* states, std::size_t count, double* cost,
+                      int* best);
 #endif
 
 }  // namespace detail

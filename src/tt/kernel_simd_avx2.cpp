@@ -1,11 +1,16 @@
-// AVX2 kernel variant: hardware-gathered table reads, vector blend
-// min/argmin. Same lane discipline as kernel_simd.cpp — one STATE per
-// lane, actions ascending, strict-< blend — so results are byte-identical
-// to the scalar reference (see the proof sketch there and in
-// docs/kernel.md). The payoff over the portable variant is
-// _mm256_i32gather_pd for the two data-dependent C-table reads per
-// evaluation, which the baseline ISA has to do with four scalar loads
-// each.
+// AVX2 kernel variant: S∩T_i / S−T_i computed in registers,
+// hardware-gathered table reads, vector blend min/argmin.
+//
+// Lane discipline — the whole correctness argument in one paragraph: each
+// vector LANE owns one STATE, and actions are walked in the same ascending
+// order as the scalar reference with the same strict-< blend. Every lane
+// therefore performs the identical sequence of IEEE operations — the
+// multiply/add association of m_test_value/m_treat_value, the validity
+// select, the running-min compare — that the scalar tile performs for that
+// state, so cost/best_action come out byte-identical by construction, ties
+// included (lowest action index wins because a later equal value fails the
+// strict <). Remainder states (count % 4) go through the scalar tile
+// itself (docs/kernel.md has the longer proof sketch).
 //
 // Build contract (src/CMakeLists.txt): this TU alone is compiled with
 // -mavx2 -ffp-contract=off. -mavx2 does NOT enable FMA, and contraction is
@@ -30,12 +35,6 @@ namespace {
 /// trips -Wmaybe-uninitialized.
 inline __m256d gather_pd(const double* p, __m128i idx) {
   return _mm256_mask_i32gather_pd(
-      _mm256_setzero_pd(), p, idx,
-      _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8);
-}
-
-inline __m256d gather64_pd(const double* p, __m256i idx) {
-  return _mm256_mask_i64gather_pd(
       _mm256_setzero_pd(), p, idx,
       _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8);
 }
@@ -92,9 +91,8 @@ inline void min_update_4(__m256d v, int i, __m256d& bv, __m256i& bi) {
 /// and each chain's ps/bv/bi live in their own registers.
 template <int U>
 inline void eval_chains(const ActionSoA& a, const double* wt,
-                        const Mask* states, std::size_t t,
-                        const KernelCtx* ctx, double* cost, int* best,
-                        __m256d vinf) {
+                        const Mask* states, std::size_t t, double* cost,
+                        int* best, __m256d vinf) {
   __m128i s[U];
   __m256d ps[U], bv[U];
   __m256i bi[U];
@@ -108,26 +106,11 @@ inline void eval_chains(const ActionSoA& a, const double* wt,
   for (int i = 0; i < a.num_actions; ++i) {
     const std::size_t ui = static_cast<std::size_t>(i);
     __m128i iv[U], mv[U];
-    if (ctx != nullptr) {
-      const std::uint32_t* ir = ctx->inter + ui * ctx->stride + ctx->base + t;
-      const std::uint32_t* mr = ctx->minus + ui * ctx->stride + ctx->base + t;
-      // Pull the next block's indices for this action row; the N rows are
-      // touched round-robin, one 16·U-byte step per block.
-      _mm_prefetch(reinterpret_cast<const char*>(ir + 4 * U), _MM_HINT_T0);
-      _mm_prefetch(reinterpret_cast<const char*>(mr + 4 * U), _MM_HINT_T0);
-      for (int c = 0; c < U; ++c) {
-        iv[c] = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(ir + 4 * c));
-        mv[c] = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(mr + 4 * c));
-      }
-    } else {
-      const __m128i ts = _mm_set1_epi32(static_cast<int>(a.set[ui]));
-      const __m128i tn = _mm_set1_epi32(static_cast<int>(a.nset[ui]));
-      for (int c = 0; c < U; ++c) {
-        iv[c] = _mm_and_si128(s[c], ts);
-        mv[c] = _mm_and_si128(s[c], tn);
-      }
+    const __m128i ts = _mm_set1_epi32(static_cast<int>(a.set[ui]));
+    const __m128i tn = _mm_set1_epi32(static_cast<int>(a.nset[ui]));
+    for (int c = 0; c < U; ++c) {
+      iv[c] = _mm_and_si128(s[c], ts);
+      mv[c] = _mm_and_si128(s[c], tn);
     }
     const __m256d tc = _mm256_set1_pd(a.cost[ui]);
     const bool test = i < a.num_tests;
@@ -144,155 +127,25 @@ inline void eval_chains(const ActionSoA& a, const double* wt,
   }
 }
 
-std::uint64_t eval_states_avx2(const ActionSoA& a, const double* wt,
-                               const Mask* states, std::size_t count,
-                               double* cost, int* best, const KernelCtx* ctx) {
+}  // namespace
+
+void eval_states_avx2(const ActionSoA& a, const double* wt,
+                      const Mask* states, std::size_t count, double* cost,
+                      int* best) {
   const __m256d vinf = _mm256_set1_pd(kInf);
   std::size_t t = 0;
   for (; t + 16 <= count; t += 16) {
-    eval_chains<4>(a, wt, states, t, ctx, cost, best, vinf);
+    eval_chains<4>(a, wt, states, t, cost, best, vinf);
   }
   for (; t + 8 <= count; t += 8) {
-    eval_chains<2>(a, wt, states, t, ctx, cost, best, vinf);
+    eval_chains<2>(a, wt, states, t, cost, best, vinf);
   }
   for (; t + 4 <= count; t += 4) {
-    eval_chains<1>(a, wt, states, t, ctx, cost, best, vinf);
+    eval_chains<1>(a, wt, states, t, cost, best, vinf);
   }
   if (t < count) {
     eval_tile_scalar(a, wt, states + t, count - t, cost, best);
   }
-  return static_cast<std::uint64_t>(count) *
-         static_cast<std::uint64_t>(a.num_actions);
-}
-
-/// Actions [i0, i1) of one pair row (all tests or all treatments),
-/// vectorized over the action axis — elementwise, no reduction.
-void eval_pair_run(const ActionSoA& a, double ws, const double* cost, Mask s,
-                   std::size_t i0, std::size_t i1, bool tests, double* out) {
-  const __m256d vinf = _mm256_set1_pd(kInf);
-  const __m128i zero = _mm_setzero_si128();
-  const __m128i s4 = _mm_set1_epi32(static_cast<int>(s));
-  const __m256d ps = _mm256_set1_pd(ws);
-  std::size_t i = i0;
-  for (; i + 4 <= i1; i += 4) {
-    const __m128i ts =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a.set.data() + i));
-    const __m128i tn =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a.nset.data() + i));
-    const __m128i iv = _mm_and_si128(s4, ts);
-    const __m128i mv = _mm_and_si128(s4, tn);
-    const __m256d tc = _mm256_loadu_pd(a.cost.data() + i);
-    const __m256d cm = gather_pd(cost, mv);
-    __m256d v;
-    __m128i bad32;
-    if (tests) {
-      const __m256d ci = gather_pd(cost, iv);
-      v = _mm256_add_pd(_mm256_add_pd(_mm256_mul_pd(tc, ps), ci), cm);
-      bad32 =
-          _mm_or_si128(_mm_cmpeq_epi32(iv, zero), _mm_cmpeq_epi32(mv, zero));
-    } else {
-      v = _mm256_add_pd(_mm256_mul_pd(tc, ps), cm);
-      bad32 = _mm_cmpeq_epi32(iv, zero);
-    }
-    const __m256d bad = _mm256_castsi256_pd(_mm256_cvtepi32_epi64(bad32));
-    v = _mm256_blendv_pd(v, vinf, bad);
-    _mm256_storeu_pd(out + (i - i0), v);
-  }
-  for (; i < i1; ++i) {
-    const Mask inter = s & a.set[i];
-    const Mask minus = s & a.nset[i];
-    double v;
-    if (tests) {
-      v = m_test_value(a.cost[i], ws, cost[inter], cost[minus]);
-      v = (inter == 0 || minus == 0) ? kInf : v;
-    } else {
-      v = m_treat_value(a.cost[i], ws, cost[minus]);
-      v = inter == 0 ? kInf : v;
-    }
-    out[i - i0] = v;
-  }
-}
-
-void eval_pairs_avx2(const ActionSoA& a, const double* wt, const double* cost,
-                     const Mask* states, std::size_t begin, std::size_t end,
-                     double* m) {
-  const std::size_t n = static_cast<std::size_t>(a.num_actions);
-  const std::size_t nt = static_cast<std::size_t>(a.num_tests);
-  std::size_t idx = begin;
-  while (idx < end) {
-    const std::size_t pos = idx / n;
-    const std::size_t i0 = idx % n;
-    const std::size_t i1 = std::min(n, i0 + (end - idx));
-    const Mask s = states[pos];
-    const double ws = wt[s];
-    if (i0 < nt) {
-      const std::size_t te = std::min(i1, nt);
-      eval_pair_run(a, ws, cost, s, i0, te, true, m + idx);
-      if (i1 > nt) {
-        eval_pair_run(a, ws, cost, s, nt, i1, false, m + idx + (nt - i0));
-      }
-    } else {
-      eval_pair_run(a, ws, cost, s, i0, i1, false, m + idx);
-    }
-    idx += i1 - i0;
-  }
-}
-
-void reduce_pairs_avx2(const ActionSoA& a, const double* m, const Mask* states,
-                       std::size_t begin, std::size_t end, double* cost,
-                       int* best) {
-  const std::size_t n = static_cast<std::size_t>(a.num_actions);
-  const __m256d vinf = _mm256_set1_pd(kInf);
-  std::size_t pos = begin;
-  for (; pos + 4 <= end; pos += 4) {
-    // Row bases can exceed 32 bits for huge pair buffers; use the 64-bit
-    // gather form.
-    const __m256i rowbase = _mm256_set_epi64x(
-        static_cast<long long>((pos + 3) * n),
-        static_cast<long long>((pos + 2) * n),
-        static_cast<long long>((pos + 1) * n), static_cast<long long>(pos * n));
-    __m256d bv = vinf;
-    __m256i bi = _mm256_set1_epi64x(-1);
-    for (std::size_t i = 0; i < n; ++i) {
-      const __m256i idx =
-          _mm256_add_epi64(rowbase, _mm256_set1_epi64x(static_cast<long long>(i)));
-      const __m256d v = gather64_pd(m, idx);
-      const __m256d lt = _mm256_cmp_pd(v, bv, _CMP_LT_OQ);
-      bv = _mm256_blendv_pd(bv, v, lt);
-      bi = _mm256_blendv_epi8(
-          bi, _mm256_set1_epi64x(static_cast<long long>(i)),
-          _mm256_castpd_si256(lt));
-    }
-    alignas(32) double bva[4];
-    alignas(32) long long bia[4];
-    _mm256_store_pd(bva, bv);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(bia), bi);
-    for (std::size_t l = 0; l < 4; ++l) {
-      cost[states[pos + l]] = bva[l];
-      best[states[pos + l]] = static_cast<int>(bia[l]);
-    }
-  }
-  for (; pos < end; ++pos) {
-    const double* row = m + pos * n;
-    double bv = kInf;
-    int bi = -1;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double v = row[i];
-      const bool lt = v < bv;
-      bv = lt ? v : bv;
-      bi = lt ? static_cast<int>(i) : bi;
-    }
-    cost[states[pos]] = bv;
-    best[states[pos]] = bi;
-  }
-}
-
-}  // namespace
-
-const KernelOps& avx2_ops() noexcept {
-  static constexpr KernelOps ops{eval_states_avx2, eval_pairs_avx2,
-                                 reduce_pairs_avx2, KernelVariant::kSimdAvx2};
-  return ops;
 }
 
 }  // namespace ttp::tt::detail

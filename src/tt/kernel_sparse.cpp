@@ -1,16 +1,9 @@
-// Sparse layer-wave kernel: StateMap plus the slot-indexed eval wave.
-//
-// The arithmetic here is deliberately a transcription of kernel.cpp's
-// scalar tile and kernel_simd.cpp's portable 4-wide path with the mask
-// indexing swapped for slot rows — every IEEE operation, the validity
-// select placement, and the strict-< argmin blend are kept in the same
-// order so the frontier solver's results stay bitwise identical to the
-// dense solvers on the reachable states. Compiled with -ffp-contract=off
-// (and -Wno-psabi for the vector-extension helpers) like every kernel TU.
+// StateMap, the frontier solver's mask -> slot table. The slot-indexed
+// wave eval_states_sparse is defined in kernel.cpp, next to the dense wave
+// whose scalar tile it shares.
 #include "tt/kernel_sparse.hpp"
 
 #include <algorithm>
-#include <bit>
 
 namespace ttp::tt {
 
@@ -54,177 +47,6 @@ bool StateMap::insert(Mask key, std::uint32_t value) {
     }
     i = (i + 1) & index_mask_;
   }
-}
-
-namespace {
-
-/// Scalar sparse tile sweep over [0, count): kernel.cpp's eval_tile_scalar
-/// with child reads through slot rows and writes to slot_base + position.
-std::uint64_t eval_sparse_scalar(const ActionSoA& a, const Mask* states,
-                                 const double* ws, const std::uint32_t* inter,
-                                 const std::uint32_t* minus,
-                                 std::size_t stride, std::size_t count,
-                                 double* cost, int* best,
-                                 std::size_t slot_base) {
-  for (std::size_t base = 0; base < count; base += kKernelTile) {
-    const std::size_t m = std::min(kKernelTile, count - base);
-    Mask s_arr[kKernelTile];
-    double w[kKernelTile];
-    double bv[kKernelTile];
-    int bi[kKernelTile];
-    for (std::size_t t = 0; t < m; ++t) {
-      s_arr[t] = states[base + t];
-      w[t] = ws[base + t];
-      bv[t] = kInf;
-      bi[t] = -1;
-    }
-    for (int i = 0; i < a.num_tests; ++i) {
-      const std::size_t ui = static_cast<std::size_t>(i);
-      const Mask ts = a.set[ui];
-      const Mask tn = a.nset[ui];
-      const double tc = a.cost[ui];
-      const std::uint32_t* ir = inter + ui * stride + base;
-      const std::uint32_t* mr = minus + ui * stride + base;
-      for (std::size_t t = 0; t < m; ++t) {
-        const Mask s = s_arr[t];
-        const Mask im = s & ts;
-        const Mask mm = s & tn;
-        // Invalid splits gather slot 0 (∅, cost 0) or the state's own
-        // still-kInf slot — finite-or-inf either way, never NaN — and the
-        // select after the arithmetic overrides them with kInf exactly as
-        // the dense tile's mask-indexed reads end up.
-        double v = m_test_value(tc, w[t], cost[ir[t]], cost[mr[t]]);
-        v = ((im == 0) | (mm == 0)) ? kInf : v;
-        const bool lt = v < bv[t];
-        bv[t] = lt ? v : bv[t];
-        bi[t] = lt ? i : bi[t];
-      }
-    }
-    for (int i = a.num_tests; i < a.num_actions; ++i) {
-      const std::size_t ui = static_cast<std::size_t>(i);
-      const Mask ts = a.set[ui];
-      const double tc = a.cost[ui];
-      const std::uint32_t* mr = minus + ui * stride + base;
-      for (std::size_t t = 0; t < m; ++t) {
-        const Mask s = s_arr[t];
-        const Mask im = s & ts;
-        double v = m_treat_value(tc, w[t], cost[mr[t]]);
-        v = im == 0 ? kInf : v;
-        const bool lt = v < bv[t];
-        bv[t] = lt ? v : bv[t];
-        bi[t] = lt ? i : bi[t];
-      }
-    }
-    for (std::size_t t = 0; t < m; ++t) {
-      cost[slot_base + base + t] = bv[t];
-      best[slot_base + base + t] = bi[t];
-    }
-  }
-  return static_cast<std::uint64_t>(count) *
-         static_cast<std::uint64_t>(a.num_actions);
-}
-
-typedef double v4df __attribute__((vector_size(32)));
-typedef long long v4di __attribute__((vector_size(32)));
-typedef unsigned v4su __attribute__((vector_size(16)));
-
-constexpr v4su kZero4 = {0, 0, 0, 0};
-
-inline v4df blend_pd(v4di mask, v4df a, v4df b) {
-  return reinterpret_cast<v4df>((mask & reinterpret_cast<v4di>(a)) |
-                                (~mask & reinterpret_cast<v4di>(b)));
-}
-
-inline v4di blend_i64(v4di mask, v4di a, v4di b) {
-  return (mask & a) | (~mask & b);
-}
-
-inline v4df gather_pd(const double* p, v4su idx) {
-  return v4df{p[idx[0]], p[idx[1]], p[idx[2]], p[idx[3]]};
-}
-
-inline v4su load_u32(const std::uint32_t* p) {
-  return v4su{p[0], p[1], p[2], p[3]};
-}
-
-/// Portable 4-wide sparse wave: one STATE per lane, ascending actions,
-/// strict-< blend — kernel_simd.cpp's eval_states_portable with slot-row
-/// gathers. Remainder states run the scalar sparse tile on the same rows
-/// (offsetting the row base by `main` lands on the right entries because
-/// the stride is unchanged).
-std::uint64_t eval_sparse_portable(const ActionSoA& a, const Mask* states,
-                                   const double* ws, const std::uint32_t* inter,
-                                   const std::uint32_t* minus,
-                                   std::size_t stride, std::size_t count,
-                                   double* cost, int* best,
-                                   std::size_t slot_base) {
-  const v4df vinf = {kInf, kInf, kInf, kInf};
-  const std::size_t main = count & ~std::size_t{3};
-  for (std::size_t t = 0; t < main; t += 4) {
-    const v4su s4 = load_u32(states + t);
-    const v4df ps = {ws[t], ws[t + 1], ws[t + 2], ws[t + 3]};
-    v4df bv = vinf;
-    v4di bi = {-1, -1, -1, -1};
-    for (int i = 0; i < a.num_actions; ++i) {
-      const std::size_t ui = static_cast<std::size_t>(i);
-      const std::uint32_t* mr = minus + ui * stride + t;
-      __builtin_prefetch(mr + 16);
-      // Validity comes from the masks, in register; the rows are purely
-      // gather indices.
-      const Mask ts = a.set[ui];
-      const v4su ivm = s4 & v4su{ts, ts, ts, ts};
-      const double c = a.cost[ui];
-      const v4df tc = {c, c, c, c};
-      const v4df cm = gather_pd(cost, load_u32(mr));
-      v4df v;
-      v4di bad;
-      if (i < a.num_tests) {
-        const std::uint32_t* ir = inter + ui * stride + t;
-        __builtin_prefetch(ir + 16);
-        const Mask tn = a.nset[ui];
-        const v4su mvm = s4 & v4su{tn, tn, tn, tn};
-        const v4df ci = gather_pd(cost, load_u32(ir));
-        v = (tc * ps + ci) + cm;  // m_test_value association, per lane
-        bad = __builtin_convertvector(ivm == kZero4, v4di) |
-              __builtin_convertvector(mvm == kZero4, v4di);
-      } else {
-        v = tc * ps + cm;  // m_treat_value
-        bad = __builtin_convertvector(ivm == kZero4, v4di);
-      }
-      v = blend_pd(bad, vinf, v);
-      const v4di lt = v < bv;  // strict <, exactly the scalar update
-      bv = blend_pd(lt, v, bv);
-      bi = blend_i64(lt, v4di{i, i, i, i}, bi);
-    }
-    for (int l = 0; l < 4; ++l) {
-      const std::size_t slot = slot_base + t + static_cast<std::size_t>(l);
-      cost[slot] = bv[l];
-      best[slot] = static_cast<int>(bi[l]);
-    }
-  }
-  std::uint64_t evals = static_cast<std::uint64_t>(main) *
-                        static_cast<std::uint64_t>(a.num_actions);
-  if (main < count) {
-    evals += eval_sparse_scalar(a, states + main, ws + main, inter + main,
-                                minus + main, stride, count - main, cost, best,
-                                slot_base + main);
-  }
-  return evals;
-}
-
-}  // namespace
-
-std::uint64_t eval_states_sparse(const ActionSoA& a, const Mask* states,
-                                 const double* ws, const std::uint32_t* inter,
-                                 const std::uint32_t* minus, std::size_t stride,
-                                 std::size_t count, double* cost, int* best,
-                                 std::size_t slot_base) {
-  if (active_kernel_variant() == KernelVariant::kScalar) {
-    return eval_sparse_scalar(a, states, ws, inter, minus, stride, count, cost,
-                              best, slot_base);
-  }
-  return eval_sparse_portable(a, states, ws, inter, minus, stride, count, cost,
-                              best, slot_base);
 }
 
 }  // namespace ttp::tt

@@ -17,18 +17,16 @@
 //    is the only concurrency the frontier solver ever asks of it (parallel
 //    expansion phases read, the serial merge between them writes).
 //  * eval_states_sparse() — the per-layer wave over slot-indexed tables.
-//    Child lookups go through precomputed slot rows (action-major, like
-//    PairIndex rows) while validity is recomputed from the masks in
-//    register, so an invalid split can safely point its row entry at
-//    slot 0 (∅, cost 0): the select after the arithmetic overwrites the
-//    value with kInf exactly as the dense tile does. Lane discipline,
-//    association order, and the strict-< argmin blend are copied from
-//    kernel.cpp / kernel_simd.cpp verbatim, so on the reachable states the
-//    sparse wave is bitwise identical to the dense one (the frontier tests
-//    pin this). Dispatch piggybacks on active_kernel_variant(): kScalar
-//    runs the scalar reference tile, any SIMD variant runs the portable
-//    4-wide path (gathers are the bottleneck either way; an AVX2-specific
-//    sparse tile measured within noise of the portable one).
+//    Child lookups go through precomputed slot rows (action-major) while
+//    validity is recomputed from the masks, so an invalid split can safely
+//    point its row entry at slot 0 (∅, cost 0): the select after the
+//    arithmetic overwrites the value with kInf exactly as the dense tile
+//    does. It runs the dense wave's scalar tile itself (kernel.cpp), with
+//    only the child index, the p(S) source and the output slot swapped, so
+//    on the reachable states the sparse wave is bitwise identical to the
+//    dense one (the frontier tests pin this). It is scalar under every
+//    TTP_KERNEL: a portable 4-wide sparse tile measured slower than this
+//    one on serving traffic (docs/kernel.md).
 #pragma once
 
 #include <cassert>

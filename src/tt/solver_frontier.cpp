@@ -160,7 +160,8 @@ SolveResult solve_on_closure(const Instance& ins, FrontierArena& ar,
   root_span.attr("k", k);
   root_span.attr("actions", N);
   root_span.attr("states", static_cast<std::uint64_t>(ar.states));
-  root_span.attr("kernel", active_kernel_variant_name());
+  // The sparse wave is scalar under every TTP_KERNEL (kernel_sparse.hpp).
+  root_span.attr("kernel", kernel_variant_name(KernelVariant::kScalar));
 
   static thread_local ActionSoA soa_tls;
   soa_tls.build(ins);

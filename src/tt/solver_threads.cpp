@@ -48,19 +48,13 @@ SolveResult ThreadsSolver::solve(const Instance& ins) const {
   root_span.attr("workers", pool_.size());
   root_span.attr("mode", mode_ == Mode::kStateParallel ? "state_parallel"
                                                        : "pair_parallel");
-  root_span.attr("kernel", active_kernel_variant_name());
+  // The pair phase is scalar-only, whatever eval_states runs.
+  root_span.attr("kernel", mode_ == Mode::kStateParallel
+                               ? active_kernel_variant_name()
+                               : kernel_variant_name(KernelVariant::kScalar));
 
   const LayerIndex& layers = arena_.layers(k);
   const ActionSoA& soa = arena_.actions(ins);
-  // Precomputed gather indices (reused across solves with the same action
-  // structure); the scalar variant never reads them, and past
-  // kPairIndexHotBytes the index loads cost more than the in-register ANDs
-  // they replace (see kernel.hpp), so both cases skip the build.
-  const bool want_ctx =
-      active_kernel_variant() != KernelVariant::kScalar &&
-      states * static_cast<std::size_t>(N) * 2 * sizeof(std::uint32_t) <=
-          kPairIndexHotBytes;
-  const PairIndex* pidx = want_ctx ? arena_.pair_index() : nullptr;
   arena_.prepare_tables(states);
   double* cost = arena_.cost();
   int* best = arena_.best();
@@ -75,15 +69,7 @@ SolveResult ThreadsSolver::solve(const Instance& ins) const {
     if (mode_ == Mode::kStateParallel) {
       // Reads touch only layers < j (finalized); writes per-state disjoint.
       pool_.parallel_for(n, [&](std::size_t b, std::size_t e) {
-        KernelCtx ctx;
-        if (pidx != nullptr) {
-          ctx.inter = pidx->inter_row(j, 0);
-          ctx.minus = pidx->minus_row(j, 0);
-          ctx.stride = pidx->stride(j);
-          ctx.base = b;
-        }
-        eval_states(soa, wtp, layer.data() + b, e - b, cost, best,
-                    pidx != nullptr ? &ctx : nullptr);
+        eval_states(soa, wtp, layer.data() + b, e - b, cost, best);
       });
     } else {
       // Phase 1: every (S, i) pair independently, like the paper's PEs.

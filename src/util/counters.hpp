@@ -5,12 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <string_view>
-#include <utility>
-#include <vector>
-
-#include "obs/metrics.hpp"
 
 namespace ttp::util {
 
@@ -45,24 +39,6 @@ struct StepCounter {
     total_ops += o.total_ops;
     return *this;
   }
-};
-
-/// Compatibility shim over obs::MetricsRegistry, kept for call sites that
-/// predate the obs layer. add() takes string_view and hashes instead of
-/// walking a std::map of owned strings; all() returns a name-sorted
-/// snapshot so report output stays deterministic. New code should use
-/// obs::MetricsRegistry (counters/gauges/histograms) directly.
-class CounterMap {
- public:
-  void add(std::string_view name, std::uint64_t v) { reg_.add(name, v); }
-  std::uint64_t get(std::string_view name) const { return reg_.get(name); }
-  std::vector<std::pair<std::string, std::uint64_t>> all() const {
-    return reg_.all();
-  }
-  void reset() { reg_.reset(); }
-
- private:
-  obs::MetricsRegistry reg_;
 };
 
 }  // namespace ttp::util

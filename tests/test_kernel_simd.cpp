@@ -1,10 +1,10 @@
-// The SIMD kernel variants' byte-identity contract (PR 4).
+// The AVX2 kernel variant's byte-identity contract.
 //
-// The scalar tiles are the normative reference; the portable and AVX2
-// variants must produce byte-identical cost AND best_action tables on
-// every instance — same IEEE results (memcmp, not tolerance), same
-// strict-< lowest-index tie-breaks. These tests force each variant through
-// set_kernel_variant() and compare raw table bytes across:
+// The scalar tile is the normative reference; the AVX2 wave must produce
+// byte-identical cost AND best_action tables on every instance — same
+// IEEE results (memcmp, not tolerance), same strict-< lowest-index
+// tie-breaks. These tests force each variant through set_kernel_variant()
+// and compare raw table bytes across:
 //
 //   * randomized instances over the full k = 1..16 range,
 //   * tie-heavy integer-cost instances (where a sloppy blend order would
@@ -14,13 +14,13 @@
 //   * action mixes skewed to all-tests-but-singleton-cures and
 //     treatments-only,
 //   * direct eval_states calls on sub-spans of size 1..7 (remainder-lane
-//     boundaries: SIMD handles groups of 4, the tail must route through
+//     boundaries: AVX2 handles groups of 4, the tail must route through
 //     the scalar tile),
 //   * all six table-building backends (sequential, threads state/pair,
 //     hypercube, ccc, state_parallel) under each forced variant.
 //
-// AVX2 cases are guarded on kernel_avx2_available() so the suite passes
-// (portable-only) on hosts or builds without AVX2. Every test restores
+// AVX2 cases are guarded on kernel_avx2_available(), so on hosts or builds
+// without AVX2 only the scalar cases run. Every test restores
 // auto-dispatch on exit so suite order cannot leak a pinned variant.
 #include <gtest/gtest.h>
 
@@ -54,10 +54,10 @@ class VariantGuard {
   bool ok_;
 };
 
-/// The SIMD variants this host can run. "portable" always; "avx2" when
-/// compiled in and the CPU reports it.
+/// The SIMD variants this host can run: "avx2" when compiled in and the
+/// CPU reports it, none otherwise.
 std::vector<const char*> simd_variants() {
-  std::vector<const char*> v{"portable"};
+  std::vector<const char*> v;
   if (kernel_avx2_available()) v.push_back("avx2");
   return v;
 }
@@ -233,51 +233,6 @@ TEST(KernelSimd, RemainderLaneBoundaries) {
   }
 }
 
-TEST(KernelSimd, PairPhaseByteIdenticalAcrossVariants) {
-  const Instance ins = random_for(42, 6);
-  ins.check();
-  const std::vector<double>& wt = ins.subset_weight_table();
-  ActionSoA soa;
-  soa.build(ins);
-  const std::size_t n = static_cast<std::size_t>(ins.num_actions());
-  const DpTable ref = solve_table_with("scalar", ins);
-  const auto layer = util::layer_subsets(ins.k(), 3);
-  const std::size_t pairs = layer.size() * n;
-
-  std::vector<double> m_ref(pairs);
-  {
-    VariantGuard guard("scalar");
-    eval_pairs(soa, wt.data(), ref.cost.data(), layer.data(), 0, pairs,
-               m_ref.data());
-  }
-  for (const char* v : simd_variants()) {
-    VariantGuard guard(v);
-    ASSERT_TRUE(guard.ok());
-    std::vector<double> m(pairs, -1.0);
-    // Deliberately ragged splits: mid-row begins/ends on both sides of the
-    // test/treatment boundary.
-    const std::size_t cut1 = n / 2, cut2 = 3 * n + 1;
-    eval_pairs(soa, wt.data(), ref.cost.data(), layer.data(), 0, cut1,
-               m.data());
-    eval_pairs(soa, wt.data(), ref.cost.data(), layer.data(), cut1, cut2,
-               m.data());
-    eval_pairs(soa, wt.data(), ref.cost.data(), layer.data(), cut2, pairs,
-               m.data());
-    EXPECT_EQ(std::memcmp(m.data(), m_ref.data(), pairs * sizeof(double)), 0)
-        << v;
-
-    std::vector<double> cost(ref.cost);
-    std::vector<int> best(ref.best_action);
-    reduce_pairs(soa, m.data(), layer.data(), 0, layer.size(), cost.data(),
-                 best.data());
-    EXPECT_EQ(std::memcmp(cost.data(), ref.cost.data(),
-                          cost.size() * sizeof(double)),
-              0)
-        << v;
-    EXPECT_EQ(best, ref.best_action) << v;
-  }
-}
-
 TEST(KernelSimd, ForcedVariantDeterminismAcrossAllBackends) {
   // The strong cross-backend contract of test_determinism.cpp, under every
   // forced variant: all six table-building backends must reproduce the
@@ -322,66 +277,26 @@ TEST(KernelSimd, VariantResolutionAndForcing) {
   EXPECT_TRUE(set_kernel_variant("scalar"));
   EXPECT_EQ(active_kernel_variant(), KernelVariant::kScalar);
   EXPECT_EQ(active_kernel_variant_name(), "scalar");
-  EXPECT_TRUE(set_kernel_variant("portable"));
-  EXPECT_EQ(active_kernel_variant(), KernelVariant::kSimdPortable);
-  EXPECT_EQ(active_kernel_variant_name(), "simd-portable");
   if (kernel_avx2_available()) {
     EXPECT_TRUE(set_kernel_variant("avx2"));
     EXPECT_EQ(active_kernel_variant(), KernelVariant::kSimdAvx2);
+    EXPECT_EQ(active_kernel_variant_name(), "simd-avx2");
   } else {
-    // Unavailable pin: refused AND the previous dispatch is untouched.
+    // Unavailable pin: refused AND the previous variant is untouched.
     EXPECT_FALSE(set_kernel_variant("avx2"));
-    EXPECT_EQ(active_kernel_variant(), KernelVariant::kSimdPortable);
+    EXPECT_EQ(active_kernel_variant(), KernelVariant::kScalar);
   }
-  EXPECT_FALSE(set_kernel_variant("no-such-variant"));
-  EXPECT_TRUE(set_kernel_variant("simd"));
-  EXPECT_NE(active_kernel_variant(), KernelVariant::kScalar);
+  // The retired "portable" and "simd" specs are refused like any unknown
+  // one, and leave the pinned variant alone.
+  const KernelVariant pinned = active_kernel_variant();
+  for (const char* spec : {"portable", "simd", "no-such-variant", ""}) {
+    EXPECT_FALSE(set_kernel_variant(spec)) << spec;
+    EXPECT_EQ(active_kernel_variant(), pinned) << spec;
+  }
   EXPECT_TRUE(set_kernel_variant("auto"));
-}
-
-TEST(KernelSimd, PairIndexRowsMatchDefinition) {
-  const Instance ins = random_for(5, 6);
-  ins.check();
-  ActionSoA soa;
-  soa.build(ins);
-  LayerIndex layers;
-  layers.build(6);
-  PairIndex pidx;
-  ASSERT_TRUE(pidx.ensure(layers, soa));
-  for (int j = 0; j <= 6; ++j) {
-    const auto layer = layers.layer(j);
-    ASSERT_EQ(pidx.stride(j), layer.size()) << j;
-    for (int i = 0; i < soa.num_actions; ++i) {
-      const auto ui = static_cast<std::size_t>(i);
-      const std::uint32_t* ir = pidx.inter_row(j, i);
-      const std::uint32_t* mr = pidx.minus_row(j, i);
-      for (std::size_t p = 0; p < layer.size(); ++p) {
-        EXPECT_EQ(ir[p], static_cast<std::uint32_t>(layer[p] & soa.set[ui]))
-            << "j=" << j << " i=" << i << " p=" << p;
-        EXPECT_EQ(mr[p], static_cast<std::uint32_t>(layer[p] & soa.nset[ui]))
-            << "j=" << j << " i=" << i << " p=" << p;
-      }
-    }
-  }
-  // Same (k, sets): ensure() again is a no-op reuse, rows stay valid.
-  const std::uint32_t first = pidx.inter_row(1, 0)[0];
-  ASSERT_TRUE(pidx.ensure(layers, soa));
-  EXPECT_EQ(pidx.inter_row(1, 0)[0], first);
-}
-
-TEST(KernelSimd, PairIndexRefusesAboveByteCap) {
-  // 2^18 states x 33 actions x 2 tables x 4 bytes ≈ 69 MiB > kMaxBytes.
-  LayerIndex layers;
-  layers.build(18);
-  ActionSoA soa;
-  soa.num_actions = 33;
-  soa.num_tests = 0;
-  soa.set.assign(33, 1);
-  soa.nset.assign(33, static_cast<Mask>(~Mask{1}));
-  soa.cost.assign(33, 1.0);
-  soa.is_test.assign(33, 0);
-  PairIndex pidx;
-  EXPECT_FALSE(pidx.ensure(layers, soa));
+  EXPECT_EQ(active_kernel_variant(), kernel_avx2_available()
+                                         ? KernelVariant::kSimdAvx2
+                                         : KernelVariant::kScalar);
 }
 
 TEST(KernelSimd, AlignedBufAlignmentAndNoCopyGrowth) {

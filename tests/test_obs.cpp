@@ -440,13 +440,17 @@ TEST_F(ObsTest, RegistryCounterMapCompatibility) {
   EXPECT_EQ(reg.get("missing"), 0u);
   const auto all = reg.all();
   ASSERT_EQ(all.size(), 2u);
-  EXPECT_EQ(all[0].first, "alpha");  // sorted by name, like CounterMap
+  EXPECT_EQ(all[0].first, "alpha");  // sorted by name
   EXPECT_EQ(all[1].first, "zebra");
 
   Counter& c = reg.counter("zebra");
   MetricsRegistry moved = std::move(reg);
   c.add(1);  // reference must survive the move
   EXPECT_EQ(moved.get("zebra"), 6u);
+
+  moved.reset();
+  EXPECT_TRUE(moved.all().empty());
+  EXPECT_EQ(moved.get("zebra"), 0u);
 }
 
 // --- exporters --------------------------------------------------------------

@@ -53,17 +53,6 @@ TEST(Counters, StepCounterAccumulates) {
   EXPECT_EQ(a.parallel_steps, 0u);
 }
 
-TEST(Counters, CounterMapBasics) {
-  util::CounterMap m;
-  EXPECT_EQ(m.get("missing"), 0u);
-  m.add("x", 3);
-  m.add("x", 4);
-  EXPECT_EQ(m.get("x"), 7u);
-  EXPECT_EQ(m.all().size(), 1u);
-  m.reset();
-  EXPECT_TRUE(m.all().empty());
-}
-
 TEST(Schedule, Propagation1CustomCombine) {
   // Sum-combine instead of the default OR: the level-up values add.
   net::HypercubeMachine<net::FlowState> m(3);

@@ -414,6 +414,13 @@ TEST(SvcFrontierAdmission, SparseTierAdmitsAndCountsFrontierSolves) {
   ASSERT_EQ(r.status, Status::kOk) << r.error;
   EXPECT_GT(svc.metrics().get("svc.solve.frontier.instances"), 0u);
   EXPECT_GT(svc.metrics().get("svc.solve.frontier.states"), 0u);
+  // The sparse wave never runs the dense SIMD code, so a sparse-only
+  // service credits no dense kernel variant.
+  for (const auto& [name, value] : svc.metrics().all()) {
+    if (name.rfind("svc.solve.variant.", 0) == 0) {
+      EXPECT_EQ(value, 0u) << name;
+    }
+  }
   const double want = tt::SequentialSolver().solve(ins).cost;
   EXPECT_NEAR(r.cost, want, 1e-9 * std::max(1.0, std::abs(want)));
 }
