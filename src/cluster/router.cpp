@@ -8,21 +8,50 @@ namespace ttp::cluster {
 
 bool parse_router_args(int argc, const char* const* argv, RouterArgs& args,
                        std::string& error) {
+  RouterConfig& c = args.cfg;
+  std::vector<svc::LongFlag> flags = svc::server_flags(args.port, args.server);
+  flags.insert(
+      flags.end(),
+      {
+          {"--vnodes", 1, 4096,
+           [&](long v) { c.vnodes = static_cast<int>(v); }},
+          {"--retries", 0, 16,
+           [&](long v) { c.retries = static_cast<int>(v); }},
+          {"--hedge-ms", 0, 60'000,
+           [&](long v) { c.hedge_ms = static_cast<int>(v); }},
+#ifndef _WIN32
+          {"--connect-timeout-ms", 1, 600'000,
+           [&](long v) {
+             c.upstream.connect_timeout_ms = static_cast<int>(v);
+           }},
+          {"--request-timeout-ms", 1, 600'000,
+           [&](long v) {
+             c.upstream.request_timeout_ms = static_cast<int>(v);
+           }},
+          {"--pool-size", 0, 1024,
+           [&](long v) {
+             c.upstream.pool_size = static_cast<std::size_t>(v);
+           }},
+          {"--max-idle-ms", 1, 1'000'000'000L,
+           [&](long v) { c.upstream.max_idle_ms = static_cast<int>(v); }},
+          {"--probe-interval-ms", 1, 600'000,
+           [&](long v) {
+             c.health.probe_interval_ms = static_cast<int>(v);
+           }},
+          {"--probe-timeout-ms", 1, 600'000,
+           [&](long v) { c.health.probe_timeout_ms = static_cast<int>(v); }},
+          {"--eject-after", 1, 1000,
+           [&](long v) { c.health.eject_after = static_cast<int>(v); }},
+          {"--readmit-after", 1, 1000,
+           [&](long v) { c.health.readmit_after = static_cast<int>(v); }},
+#endif  // !_WIN32
+      });
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto is = [&](const char* flag) {
-      return arg.rfind(std::string(flag) + "=", 0) == 0;
-    };
-    long v = 0;
     if (arg == "--help" || arg == "-h") {
       args.help = true;
       return true;
-    } else if (is("--port")) {
-      if (!svc::parse_flag_long(arg, "--port", 0, 65535, v, error)) {
-        return false;
-      }
-      args.port = static_cast<int>(v);
-    } else if (is("--backend")) {
+    } else if (arg.rfind("--backend=", 0) == 0) {
       const std::string addr = arg.substr(std::strlen("--backend="));
       if (addr.empty()) {
         error = "--backend expects host:port";
@@ -35,99 +64,7 @@ bool parse_router_args(int argc, const char* const* argv, RouterArgs& args,
         }
       }
       args.backends.push_back(addr);
-    } else if (is("--vnodes")) {
-      if (!svc::parse_flag_long(arg, "--vnodes", 1, 4096, v, error)) {
-        return false;
-      }
-      args.cfg.vnodes = static_cast<int>(v);
-    } else if (is("--retries")) {
-      if (!svc::parse_flag_long(arg, "--retries", 0, 16, v, error)) {
-        return false;
-      }
-      args.cfg.retries = static_cast<int>(v);
-    } else if (is("--hedge-ms")) {
-      if (!svc::parse_flag_long(arg, "--hedge-ms", 0, 60'000, v, error)) {
-        return false;
-      }
-      args.cfg.hedge_ms = static_cast<int>(v);
-#ifndef _WIN32
-    } else if (is("--connect-timeout-ms")) {
-      if (!svc::parse_flag_long(arg, "--connect-timeout-ms", 1, 600'000, v,
-                                error)) {
-        return false;
-      }
-      args.cfg.upstream.connect_timeout_ms = static_cast<int>(v);
-    } else if (is("--request-timeout-ms")) {
-      if (!svc::parse_flag_long(arg, "--request-timeout-ms", 1, 600'000, v,
-                                error)) {
-        return false;
-      }
-      args.cfg.upstream.request_timeout_ms = static_cast<int>(v);
-    } else if (is("--pool-size")) {
-      if (!svc::parse_flag_long(arg, "--pool-size", 0, 1024, v, error)) {
-        return false;
-      }
-      args.cfg.upstream.pool_size = static_cast<std::size_t>(v);
-    } else if (is("--max-idle-ms")) {
-      if (!svc::parse_flag_long(arg, "--max-idle-ms", 1, 1'000'000'000L, v,
-                                error)) {
-        return false;
-      }
-      args.cfg.upstream.max_idle_ms = static_cast<int>(v);
-    } else if (is("--probe-interval-ms")) {
-      if (!svc::parse_flag_long(arg, "--probe-interval-ms", 1, 600'000, v,
-                                error)) {
-        return false;
-      }
-      args.cfg.health.probe_interval_ms = static_cast<int>(v);
-    } else if (is("--probe-timeout-ms")) {
-      if (!svc::parse_flag_long(arg, "--probe-timeout-ms", 1, 600'000, v,
-                                error)) {
-        return false;
-      }
-      args.cfg.health.probe_timeout_ms = static_cast<int>(v);
-    } else if (is("--eject-after")) {
-      if (!svc::parse_flag_long(arg, "--eject-after", 1, 1000, v, error)) {
-        return false;
-      }
-      args.cfg.health.eject_after = static_cast<int>(v);
-    } else if (is("--readmit-after")) {
-      if (!svc::parse_flag_long(arg, "--readmit-after", 1, 1000, v, error)) {
-        return false;
-      }
-      args.cfg.health.readmit_after = static_cast<int>(v);
-#endif  // !_WIN32
-    } else if (is("--max-conns")) {
-      if (!svc::parse_flag_long(arg, "--max-conns", 1, 65536, v, error)) {
-        return false;
-      }
-      args.server.max_conns = static_cast<std::size_t>(v);
-    } else if (is("--idle-timeout-ms")) {
-      if (!svc::parse_flag_long(arg, "--idle-timeout-ms", 0, 1'000'000'000L,
-                                v, error)) {
-        return false;
-      }
-      args.server.idle_timeout_ms = static_cast<int>(v);
-    } else if (is("--read-timeout-ms")) {
-      if (!svc::parse_flag_long(arg, "--read-timeout-ms", 0, 1'000'000'000L,
-                                v, error)) {
-        return false;
-      }
-      args.server.read_timeout_ms = static_cast<int>(v);
-    } else if (is("--drain-timeout-ms")) {
-      if (!svc::parse_flag_long(arg, "--drain-timeout-ms", 1,
-                                1'000'000'000L, v, error)) {
-        return false;
-      }
-      args.server.drain_timeout_ms = static_cast<int>(v);
-    } else if (is("--max-frame-bytes")) {
-      if (!svc::parse_flag_long(arg, "--max-frame-bytes", 1024, 1L << 30, v,
-                                error)) {
-        return false;
-      }
-      args.server.max_frame_bytes = static_cast<std::size_t>(v);
-    } else {
-      error = "unknown argument '" + arg + "'";
+    } else if (!svc::parse_long_flag(arg, flags, error)) {
       return false;
     }
   }
@@ -136,7 +73,6 @@ bool parse_router_args(int argc, const char* const* argv, RouterArgs& args,
     return false;
   }
   args.server.port = args.port;
-  args.cfg.max_frame_bytes = args.server.max_frame_bytes;
   return true;
 }
 
@@ -159,12 +95,6 @@ bool parse_router_args(int argc, const char* const* argv, RouterArgs& args,
 namespace ttp::cluster {
 
 namespace {
-
-bool get_line(std::istream& in, std::string& line) {
-  if (!std::getline(in, line)) return false;
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-  return true;
-}
 
 std::vector<std::unique_ptr<Upstream>> make_upstreams(
     const std::vector<std::string>& backends, const UpstreamConfig& cfg,
@@ -308,8 +238,8 @@ Router::Attempt Router::forward_hedged(Upstream& a, Upstream& b,
   return Attempt{};
 }
 
-void Router::handle_solve(std::istream& in, std::ostream& out,
-                          const svc::SessionOptions& opts) {
+void Router::solve(std::istream& in, std::ostream& out,
+                   const svc::SessionOptions& opts) {
   std::string blob;
   if (!svc::read_solve_frame(in, out, opts, blob)) return;
   svc::CanonKey key;
@@ -377,7 +307,7 @@ void Router::handle_solve(std::istream& in, std::ostream& out,
   }
 }
 
-void Router::handle_trace(const std::string& arg, std::ostream& out) {
+void Router::trace(const std::string& arg, std::ostream& out) {
   // The router doesn't know which backend served a past request (hedges
   // and failovers move keys around), so fan the lookup out. Ring order
   // keeps the common case — the key's primary — first.
@@ -443,41 +373,7 @@ std::string Router::health_text() const {
 
 svc::SessionResult Router::serve(std::istream& in, std::ostream& out,
                                  const svc::SessionOptions& opts) {
-  svc::SessionResult result;
-  std::string line;
-  for (;;) {
-    if (opts.control != nullptr && opts.control->should_end()) {
-      result.end = svc::SessionEnd::kStopped;
-      return result;
-    }
-    if (opts.control != nullptr) opts.control->on_boundary();
-    if (!get_line(in, line)) {
-      result.end = svc::SessionEnd::kEof;
-      return result;
-    }
-    if (line.empty()) continue;
-    if (opts.control != nullptr) opts.control->on_frame();
-    ++result.handled;
-    if (line == "SOLVE") {
-      handle_solve(in, out, opts);
-    } else if (line == "STATS") {
-      out << "STATS\n" << stats_text() << "END\n" << std::flush;
-    } else if (line == "METRICS") {
-      out << "METRICS\n" << metrics_text() << "END\n" << std::flush;
-    } else if (line == "HEALTH") {
-      out << "HEALTH\n" << health_text() << "END\n" << std::flush;
-    } else if (line.rfind("TRACE ", 0) == 0) {
-      handle_trace(line.substr(6), out);
-    } else if (line == "PING") {
-      out << "PONG\n" << std::flush;
-    } else if (line == "QUIT") {
-      out << "BYE\n" << std::flush;
-      result.end = svc::SessionEnd::kQuit;
-      return result;
-    } else {
-      svc::write_err(out, "bad-request", "unknown command '" + line + "'");
-    }
-  }
+  return svc::serve_session(*this, in, out, opts);
 }
 
 void Router::drain_force() {

@@ -70,7 +70,6 @@ struct RouterConfig {
   int vnodes = 128;  ///< Ring points per backend.
   int retries = 2;   ///< Extra replicas tried after the first attempt.
   int hedge_ms = 0;  ///< Hedge delay ceiling; 0 disables hedging.
-  std::size_t max_frame_bytes = std::size_t{1} << 20;
 #ifndef _WIN32
   UpstreamConfig upstream;
   HealthConfig health;
@@ -94,7 +93,10 @@ bool parse_router_args(int argc, const char* const* argv, RouterArgs& args,
 
 #ifndef _WIN32
 
-class Router final : public svc::SessionHost {
+/// The session pool host (svc::Server drives it) and the command handler
+/// its sessions run: svc::serve_session owns the command loop, as it does
+/// for ttp_serve, and dispatches SOLVE and TRACE to the forwarding below.
+class Router final : public svc::SessionHost, public svc::CommandHandler {
  public:
   /// Builds the ring, one Upstream per backend, and the prober (not yet
   /// started — call start_prober(), or drive prober().probe_all() by hand
@@ -118,9 +120,13 @@ class Router final : public svc::SessionHost {
   /// p95 solve latency) once 64 samples exist (--hedge-ms before that).
   int hedge_delay_ms() const;
 
-  std::string stats_text() const;
-  std::string metrics_text() const;
-  std::string health_text() const;
+  // CommandHandler: one session's SOLVE/TRACE/STATS/METRICS/HEALTH.
+  void solve(std::istream& in, std::ostream& out,
+             const svc::SessionOptions& opts) override;
+  void trace(const std::string& arg, std::ostream& out) override;
+  std::string stats_text() const override;
+  std::string metrics_text() const override;
+  std::string health_text() const override;
 
   // SessionHost: the shared svc::Server drives these.
   obs::MetricsRegistry& session_metrics() override { return metrics_; }
@@ -138,10 +144,6 @@ class Router final : public svc::SessionHost {
     std::string code;   ///< ERR code when kTypedErr.
     std::string reply;  ///< Full relayable reply text (kOk / kTypedErr).
   };
-
-  void handle_solve(std::istream& in, std::ostream& out,
-                    const svc::SessionOptions& opts);
-  void handle_trace(const std::string& arg, std::ostream& out);
 
   /// One complete exchange on an already-sent connection; releases the
   /// connection back to `up` only on a clean kOk/kTypedErr exchange.

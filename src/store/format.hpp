@@ -46,7 +46,11 @@ struct StoreKeyHash {
 };
 
 inline constexpr char kSegmentMagic[4] = {'T', 'T', 'P', 'S'};
-inline constexpr std::uint32_t kFormatVersion = 1;
+/// 2: keys are hash128 of svc/canon's canonical fields. Version 1 keys
+/// hashed the canonical instance text, so a version-1 segment is refused at
+/// replay (counted corrupt, nothing indexed) rather than served under keys
+/// that no request computes any more.
+inline constexpr std::uint32_t kFormatVersion = 2;
 inline constexpr std::uint32_t kEndianMarker = 0x01020304u;
 inline constexpr std::size_t kSegmentHeaderBytes = 12;
 

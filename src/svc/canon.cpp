@@ -1,8 +1,10 @@
 #include "svc/canon.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <numeric>
 #include <stdexcept>
-
-#include "tt/serialize.hpp"
+#include <tuple>
 
 namespace ttp::svc {
 
@@ -19,9 +21,14 @@ std::uint64_t splitmix64(std::uint64_t x) noexcept {
   return x ^ (x >> 31);
 }
 
+/// Appends the low `n` bytes of `v`, little-endian.
+void put_le(std::string& out, std::uint64_t v, int n) {
+  for (int i = 0; i < n; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
+}
+
 }  // namespace
 
-CanonKey hash128(const std::string& bytes) {
+CanonKey hash128(std::string_view bytes) {
   std::uint64_t lo = kFnvOffsetLo;
   std::uint64_t hi = kFnvOffsetHi;
   for (const unsigned char c : bytes) {
@@ -43,32 +50,60 @@ std::string CanonKey::hex() const {
   return out;
 }
 
+std::vector<int> canonical_action_order(const tt::Instance& ins) {
+  std::vector<int> ord(static_cast<std::size_t>(ins.num_actions()));
+  std::iota(ord.begin(), ord.end(), 0);
+  // Index as the last key makes plain sort stable: duplicate (kind, set,
+  // cost) actions keep their relative input order deterministically.
+  std::sort(ord.begin(), ord.end(), [&](int a, int b) {
+    const tt::Action& x = ins.action(a);
+    const tt::Action& y = ins.action(b);
+    // Tests (is_test == true) sort before treatments.
+    return std::make_tuple(!x.is_test, x.set, x.cost, a) <
+           std::make_tuple(!y.is_test, y.set, y.cost, b);
+  });
+  return ord;
+}
+
 Canonical canonicalize(const tt::Instance& ins) {
+  // check() also guarantees the weights normalize: their sum is finite and
+  // no weight divided by it underflows to 0, so every canonical weight
+  // below is a finite positive prior and the solve-time check() of the
+  // canonical instance cannot fail (it would fail its whole micro-batch).
   ins.check();
+  const int k = ins.k();
   double total = 0.0;
-  for (int j = 0; j < ins.k(); ++j) total += ins.weight(j);
-  std::vector<double> weights(static_cast<std::size_t>(ins.k()));
-  for (int j = 0; j < ins.k(); ++j) {
-    weights[static_cast<std::size_t>(j)] = ins.weight(j) / total;
+  for (int j = 0; j < k; ++j) total += ins.weight(j);
+  std::vector<double> weights(static_cast<std::size_t>(k));
+  std::string fields;
+  fields.reserve(4 + 8 * static_cast<std::size_t>(k) +
+                 13 * static_cast<std::size_t>(ins.num_actions()));
+  put_le(fields, static_cast<std::uint64_t>(k), 4);
+  for (int j = 0; j < k; ++j) {
+    const double w = ins.weight(j) / total;
+    weights[static_cast<std::size_t>(j)] = w;
+    put_le(fields, std::bit_cast<std::uint64_t>(w), 8);
   }
 
-  std::vector<int> order = tt::canonical_action_order(ins);
-  tt::Instance canon(ins.k(), std::move(weights));
+  std::vector<int> order = canonical_action_order(ins);
+  tt::Instance canon(k, std::move(weights));
   for (const int i : order) {
     const tt::Action& a = ins.action(i);
-    // Empty names regenerate positionally ("test0", "treat0", ...), erasing
-    // requester labels from the keyed text.
+    // -0.0 == 0.0, so this maps both zeros to +0.0 and leaves others alone.
+    const double cost = a.cost == 0.0 ? 0.0 : a.cost;
+    // Empty names regenerate positionally ("test0", "treat0", ...).
     if (a.is_test) {
-      canon.add_test(a.set, a.cost);
+      canon.add_test(a.set, cost);
     } else {
-      canon.add_treatment(a.set, a.cost);
+      canon.add_treatment(a.set, cost);
     }
+    fields.push_back(a.is_test ? 1 : 0);
+    put_le(fields, a.set, 4);
+    put_le(fields, std::bit_cast<std::uint64_t>(cost), 8);
   }
 
-  Canonical out{std::move(canon), std::move(order), total, {}, {}};
-  out.text = tt::to_text(out.instance);
-  out.key = hash128(out.text);
-  return out;
+  return Canonical{std::move(canon), std::move(order), total,
+                   hash128(fields)};
 }
 
 tt::Tree remap_tree_actions(const tt::Tree& tree,

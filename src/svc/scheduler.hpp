@@ -57,6 +57,9 @@ enum class Status {
   kCancelled,          ///< Service shut down before the solve ran.
   kError,              ///< Malformed instance or solver failure; see error.
 };
+/// Number of Status values (kError is the last).
+inline constexpr std::size_t kStatusCount =
+    static_cast<std::size_t>(Status::kError) + 1;
 
 std::string_view status_name(Status s) noexcept;
 

@@ -1,176 +1,135 @@
 #include "svc/server.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
-#include <limits>
 #include <stdexcept>
 
 namespace ttp::svc {
 
-bool parse_flag_long(const std::string& arg, const char* flag, long min,
-                     long max, long& out, std::string& error) {
-  const std::string value = arg.substr(std::strlen(flag) + 1);
-  bool ok = !value.empty();
-  std::size_t i = value[0] == '-' ? 1 : 0;
-  ok = ok && i < value.size();
-  long v = 0;
-  for (; ok && i < value.size(); ++i) {
-    const char c = value[i];
-    if (c < '0' || c > '9') {
-      ok = false;
-      break;
-    }
-    if (v > (std::numeric_limits<long>::max() - (c - '0')) / 10) {
-      ok = false;  // would overflow long
-      break;
-    }
-    v = v * 10 + (c - '0');
-  }
-  if (ok && value[0] == '-') v = -v;
-  if (!ok || v < min || v > max) {
-    error = "bad value for " + std::string(flag) + ": '" + value +
-            "' (accepted range: " + std::to_string(min) + ".." +
-            std::to_string(max) + ")";
-    return false;
-  }
-  out = v;
-  return true;
+std::vector<LongFlag> server_flags(int& port, ServerConfig& server) {
+  // The setters outlive this call, so they hold the targets' addresses.
+  int* p = &port;
+  ServerConfig* s = &server;
+  return {
+      {"--port", 0, 65535, [p](long v) { *p = static_cast<int>(v); }},
+      {"--max-conns", 1, 65536,
+       [s](long v) { s->max_conns = static_cast<std::size_t>(v); }},
+      {"--idle-timeout-ms", 0, 1'000'000'000L,
+       [s](long v) { s->idle_timeout_ms = static_cast<int>(v); }},
+      {"--read-timeout-ms", 0, 1'000'000'000L,
+       [s](long v) { s->read_timeout_ms = static_cast<int>(v); }},
+      {"--drain-timeout-ms", 1, 1'000'000'000L,
+       [s](long v) { s->drain_timeout_ms = static_cast<int>(v); }},
+      {"--max-frame-bytes", 1024, 1L << 30,
+       [s](long v) { s->max_frame_bytes = static_cast<std::size_t>(v); }},
+  };
 }
 
-namespace {
-
-/// Local shorthand for the serve-args table below.
-bool parse_long(const std::string& arg, const char* flag, long min, long max,
-                long& out, std::string& error) {
-  return parse_flag_long(arg, flag, min, max, out, error);
+bool parse_long_flag(const std::string& arg, const std::vector<LongFlag>& flags,
+                     std::string& error) {
+  for (const LongFlag& f : flags) {
+    const std::string prefix = std::string(f.name) + "=";
+    if (arg.rfind(prefix, 0) != 0) continue;
+    const std::string value = arg.substr(prefix.size());
+    long v = 0;
+    const char* end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+    if (ec != std::errc{} || ptr != end || v < f.min || v > f.max) {
+      error = "bad value for " + std::string(f.name) + ": '" + value +
+              "' (accepted range: " + std::to_string(f.min) + ".." +
+              std::to_string(f.max) + ")";
+      return false;
+    }
+    f.set(v);
+    return true;
+  }
+  error = "unknown argument '" + arg + "'";
+  return false;
 }
-
-}  // namespace
 
 bool parse_serve_args(int argc, const char* const* argv, ServeArgs& args,
                       std::string& error) {
+  // Each count gets an explicit range: a negative or zero value must be a
+  // startup error, not a silent wrap into a huge unsigned config field
+  // (--cache-mb=-1 used to become a ~2^64-byte cache capacity).
+  ServiceConfig& c = args.cfg;
+  std::vector<LongFlag> flags = server_flags(args.port, args.server);
+  flags.insert(
+      flags.end(),
+      {
+          {"--workers", 1, 4096,
+           [&](long v) { c.workers = static_cast<std::size_t>(v); }},
+          {"--cache-mb", 1, 1 << 20,
+           [&](long v) {
+             c.cache.capacity_bytes = static_cast<std::size_t>(v) << 20;
+           }},
+          {"--shards", 1, 1024,
+           [&](long v) { c.cache.shards = static_cast<std::size_t>(v); }},
+          {"--ttl-ms", 0, 1'000'000'000L,
+           [&](long v) { c.cache.ttl = std::chrono::milliseconds(v); }},
+          {"--max-k", 1, 32,
+           [&](long v) { c.scheduler.max_k = static_cast<int>(v); }},
+          {"--max-actions", 1, 1'000'000,
+           [&](long v) { c.scheduler.max_actions = static_cast<int>(v); }},
+          {"--max-sparse-k", 0, 24,
+           [&](long v) { c.scheduler.max_sparse_k = static_cast<int>(v); }},
+          {"--sparse-budget-mb", 1, 1 << 20,
+           [&](long v) {
+             c.scheduler.sparse_budget_bytes = static_cast<std::size_t>(v)
+                                               << 20;
+           }},
+          {"--max-queue", 1, 10'000'000,
+           [&](long v) {
+             c.scheduler.max_queue = static_cast<std::size_t>(v);
+           }},
+          {"--max-batch", 1, 65536,
+           [&](long v) {
+             c.scheduler.max_batch = static_cast<std::size_t>(v);
+           }},
+          {"--batch-delay-us", 0, 10'000'000,
+           [&](long v) {
+             c.scheduler.batch_delay = std::chrono::microseconds(v);
+           }},
+          {"--slow-ms", 0, 1'000'000'000L,
+           [&](long v) { c.telemetry.slow_ms = static_cast<int>(v); }},
+          {"--flight-cap", 8, 1 << 24,
+           [&](long v) {
+             c.telemetry.flight_capacity = static_cast<std::size_t>(v);
+           }},
+          {"--store-max-mb", 1, 1 << 20,
+           [&](long v) {
+             c.store.max_bytes = static_cast<std::uint64_t>(v) << 20;
+           }},
+          {"--store-ttl-s", 0, 1'000'000'000L,
+           [&](long v) {
+             c.store.ttl_seconds = static_cast<std::uint64_t>(v);
+           }},
+      });
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto is = [&](const char* flag) {
       return arg.rfind(std::string(flag) + "=", 0) == 0;
     };
-    // Each flag gets an explicit range: a negative or zero count must be a
-    // startup error, not a silent wrap into a huge unsigned config field
-    // (--cache-mb=-1 used to become a ~2^64-byte cache capacity).
-    long v = 0;
     if (arg == "--help" || arg == "-h") {
       args.help = true;
       return true;
-    } else if (is("--port")) {
-      if (!parse_long(arg, "--port", 0, 65535, v, error)) return false;
-      args.port = static_cast<int>(v);
-    } else if (is("--workers")) {
-      if (!parse_long(arg, "--workers", 1, 4096, v, error)) return false;
-      args.cfg.workers = static_cast<std::size_t>(v);
-    } else if (is("--cache-mb")) {
-      if (!parse_long(arg, "--cache-mb", 1, 1 << 20, v, error)) return false;
-      args.cfg.cache.capacity_bytes = static_cast<std::size_t>(v) << 20;
-    } else if (is("--shards")) {
-      if (!parse_long(arg, "--shards", 1, 1024, v, error)) return false;
-      args.cfg.cache.shards = static_cast<std::size_t>(v);
-    } else if (is("--ttl-ms")) {
-      if (!parse_long(arg, "--ttl-ms", 0, 1'000'000'000L, v, error)) {
-        return false;
-      }
-      args.cfg.cache.ttl = std::chrono::milliseconds(v);
-    } else if (is("--max-k")) {
-      if (!parse_long(arg, "--max-k", 1, 32, v, error)) return false;
-      args.cfg.scheduler.max_k = static_cast<int>(v);
-    } else if (is("--max-actions")) {
-      if (!parse_long(arg, "--max-actions", 1, 1'000'000, v, error)) {
-        return false;
-      }
-      args.cfg.scheduler.max_actions = static_cast<int>(v);
-    } else if (is("--max-sparse-k")) {
-      if (!parse_long(arg, "--max-sparse-k", 0, 24, v, error)) return false;
-      args.cfg.scheduler.max_sparse_k = static_cast<int>(v);
-    } else if (is("--sparse-budget-mb")) {
-      if (!parse_long(arg, "--sparse-budget-mb", 1, 1 << 20, v, error)) {
-        return false;
-      }
-      args.cfg.scheduler.sparse_budget_bytes = static_cast<std::size_t>(v)
-                                               << 20;
-    } else if (is("--max-queue")) {
-      if (!parse_long(arg, "--max-queue", 1, 10'000'000, v, error)) {
-        return false;
-      }
-      args.cfg.scheduler.max_queue = static_cast<std::size_t>(v);
-    } else if (is("--max-batch")) {
-      if (!parse_long(arg, "--max-batch", 1, 65536, v, error)) return false;
-      args.cfg.scheduler.max_batch = static_cast<std::size_t>(v);
-    } else if (is("--batch-delay-us")) {
-      if (!parse_long(arg, "--batch-delay-us", 0, 10'000'000, v, error)) {
-        return false;
-      }
-      args.cfg.scheduler.batch_delay = std::chrono::microseconds(v);
-    } else if (is("--slow-ms")) {
-      if (!parse_long(arg, "--slow-ms", 0, 1'000'000'000L, v, error)) {
-        return false;
-      }
-      args.cfg.telemetry.slow_ms = static_cast<int>(v);
     } else if (is("--slow-log")) {
-      args.cfg.telemetry.slow_log = arg.substr(std::strlen("--slow-log="));
-    } else if (is("--flight-cap")) {
-      if (!parse_long(arg, "--flight-cap", 8, 1 << 24, v, error)) {
-        return false;
-      }
-      args.cfg.telemetry.flight_capacity = static_cast<std::size_t>(v);
-    } else if (is("--max-conns")) {
-      if (!parse_long(arg, "--max-conns", 1, 65536, v, error)) return false;
-      args.server.max_conns = static_cast<std::size_t>(v);
-    } else if (is("--idle-timeout-ms")) {
-      if (!parse_long(arg, "--idle-timeout-ms", 0, 1'000'000'000L, v,
-                      error)) {
-        return false;
-      }
-      args.server.idle_timeout_ms = static_cast<int>(v);
-    } else if (is("--read-timeout-ms")) {
-      if (!parse_long(arg, "--read-timeout-ms", 0, 1'000'000'000L, v,
-                      error)) {
-        return false;
-      }
-      args.server.read_timeout_ms = static_cast<int>(v);
-    } else if (is("--drain-timeout-ms")) {
-      if (!parse_long(arg, "--drain-timeout-ms", 1, 1'000'000'000L, v,
-                      error)) {
-        return false;
-      }
-      args.server.drain_timeout_ms = static_cast<int>(v);
-    } else if (is("--max-frame-bytes")) {
-      if (!parse_long(arg, "--max-frame-bytes", 1024, 1L << 30, v, error)) {
-        return false;
-      }
-      args.server.max_frame_bytes = static_cast<std::size_t>(v);
+      c.telemetry.slow_log = arg.substr(std::strlen("--slow-log="));
     } else if (is("--store-dir")) {
-      args.cfg.store.dir = arg.substr(std::strlen("--store-dir="));
-      if (args.cfg.store.dir.empty()) {
+      c.store.dir = arg.substr(std::strlen("--store-dir="));
+      if (c.store.dir.empty()) {
         error = "bad value for --store-dir: empty path";
         return false;
       }
     } else if (is("--store-sync")) {
       const std::string value = arg.substr(std::strlen("--store-sync="));
-      if (!store::parse_sync_mode(value, args.cfg.store.sync)) {
+      if (!store::parse_sync_mode(value, c.store.sync)) {
         error = "bad value for --store-sync: '" + value +
                 "' (accepted: none, batch, always)";
         return false;
       }
-    } else if (is("--store-max-mb")) {
-      if (!parse_long(arg, "--store-max-mb", 1, 1 << 20, v, error)) {
-        return false;
-      }
-      args.cfg.store.max_bytes = static_cast<std::uint64_t>(v) << 20;
-    } else if (is("--store-ttl-s")) {
-      if (!parse_long(arg, "--store-ttl-s", 0, 1'000'000'000L, v, error)) {
-        return false;
-      }
-      args.cfg.store.ttl_seconds = static_cast<std::uint64_t>(v);
-    } else {
-      error = "unknown argument '" + arg + "'";
+    } else if (!parse_long_flag(arg, flags, error)) {
       return false;
     }
   }

@@ -39,7 +39,9 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "svc/service.hpp"
 
@@ -72,13 +74,25 @@ struct ServeArgs {
 bool parse_serve_args(int argc, const char* const* argv, ServeArgs& args,
                       std::string& error);
 
-/// Strict long parse of one "--flag=value" argument: the whole value must
-/// be a decimal number (optional leading '-') inside [min, max], else
-/// `error` names the flag and the accepted range. Shared by ttp_serve and
-/// ttp_router (src/cluster) so every daemon flag gets the same
-/// no-silent-wrap validation.
-bool parse_flag_long(const std::string& arg, const char* flag, long min,
-                     long max, long& out, std::string& error);
+/// One numeric "--name=N" flag of a daemon's command line.
+struct LongFlag {
+  const char* name;
+  long min;  ///< N must be a whole decimal (optional leading '-') in
+  long max;  ///< [min, max]; nothing wraps silently.
+  std::function<void(long)> set;
+};
+
+/// The session-pool flags ttp_serve and ttp_router share, parsed in this
+/// one place: --port (into `port`; the caller's -1 means stdio mode),
+/// --max-conns, --idle-timeout-ms, --read-timeout-ms, --drain-timeout-ms
+/// and --max-frame-bytes (into `server`).
+std::vector<LongFlag> server_flags(int& port, ServerConfig& server);
+
+/// Parses one argument against `flags`. Returns false with `error` set on
+/// a bad value (naming the flag and its accepted range) or on an argument
+/// that no flag names ("unknown argument").
+bool parse_long_flag(const std::string& arg, const std::vector<LongFlag>& flags,
+                     std::string& error);
 
 }  // namespace ttp::svc
 

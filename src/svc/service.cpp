@@ -88,8 +88,15 @@ Service::Service(ServiceConfig cfg)
                  : std::make_unique<store::ProcedureStore>(cfg.store,
                                                            metrics_)),
       scheduler_(std::make_unique<Scheduler>(*cache_, cfg.scheduler, metrics_,
-                                             cfg.workers)) {
+                                             cfg.workers)),
+      requests_(metrics_.counter("svc.requests")),
+      malformed_(metrics_.counter("svc.requests.malformed")),
+      slow_requests_(metrics_.counter("svc.slow_requests")) {
   if (store_ != nullptr) scheduler_->set_store(store_.get());
+  for (std::size_t s = 0; s < kStatusCount; ++s) {
+    responses_[s] = &metrics_.counter(
+        "svc.responses." + std::string(status_name(static_cast<Status>(s))));
+  }
 }
 
 Response Service::from_outcome(const SolveOutcome& outcome,
@@ -114,7 +121,7 @@ Service::Pending Service::submit(const tt::Instance& ins) {
   // Bind for the admission path: the canon/cache/queue spans below (and
   // everything the scheduler runs synchronously) carry this request's ID.
   const obs::TraceBinding bind(p.trace_);
-  metrics_.counter("svc.requests").add(1);
+  requests_.add(1);
   TTP_TRACE_SPAN(span, "svc.request");
 
   std::optional<Canonical> canon;
@@ -122,7 +129,7 @@ Service::Pending Service::submit(const tt::Instance& ins) {
     TTP_TRACE_SPAN(canon_span, "svc.canon");
     canon.emplace(canonicalize(ins));
   } catch (const std::exception& e) {
-    metrics_.counter("svc.requests.malformed").add(1);
+    malformed_.add(1);
     p.is_resolved_ = true;
     p.resolved_.status = Status::kError;
     p.resolved_.cache = CacheOutcome::kNone;
@@ -212,16 +219,8 @@ void Service::resolve_cached(Pending& p,
 }
 
 Response Service::solve(const tt::Instance& ins) {
-  const auto t0 = std::chrono::steady_clock::now();
   Response r = submit(ins).get();
-  const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-  metrics_.histogram("svc.request.us").record(static_cast<std::uint64_t>(us));
-  metrics_
-      .counter(std::string("svc.responses.") +
-               std::string(status_name(r.status)))
-      .add(1);
+  responses_[static_cast<std::size_t>(r.status)]->add(1);
   return r;
 }
 
@@ -293,7 +292,7 @@ void Service::finalize(const obs::FlightRecord& rec) {
   flight_.record(rec);
   if (slow_ms_ >= 0 &&
       rec.e2e_us >= static_cast<std::uint64_t>(slow_ms_) * 1000) {
-    metrics_.counter("svc.slow_requests").add(1);
+    slow_requests_.add(1);
     write_slow_capture(rec);
   }
 }

@@ -19,6 +19,7 @@
 // before waiting.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -131,7 +132,8 @@ class Service {
   /// solve; malformed instances resolve to Status::kError.
   Pending submit(const tt::Instance& ins);
 
-  /// submit().get() with a latency histogram (svc.request.us) around it.
+  /// submit().get(), counted in svc.responses.<status> (the e2e stage
+  /// sketch already holds its latency).
   Response solve(const tt::Instance& ins);
 
   obs::MetricsRegistry& metrics() noexcept { return metrics_; }
@@ -213,6 +215,13 @@ class Service {
   /// the drain-path flush (fsync + clean close).
   std::unique_ptr<store::ProcedureStore> store_;
   std::unique_ptr<Scheduler> scheduler_;
+
+  // Bound once here: a registry lookup takes the registry mutex.
+  obs::Counter& requests_;
+  obs::Counter& malformed_;
+  obs::Counter& slow_requests_;
+  /// svc.responses.<status_name>, indexed by Status.
+  std::array<obs::Counter*, kStatusCount> responses_{};
 };
 
 }  // namespace ttp::svc

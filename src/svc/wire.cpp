@@ -35,13 +35,28 @@ std::string_view err_code(Status s) noexcept {
   return "internal";
 }
 
-void handle_solve(Service& svc, std::istream& in, std::ostream& out,
-                  const SessionOptions& opts) {
+/// ttp_serve's answers: every command against the one shared Service.
+class ServiceCommands final : public CommandHandler {
+ public:
+  explicit ServiceCommands(Service& svc) : svc_(svc) {}
+  void solve(std::istream& in, std::ostream& out,
+             const SessionOptions& opts) override;
+  void trace(const std::string& arg, std::ostream& out) override;
+  std::string stats_text() const override { return svc_.stats_text(); }
+  std::string metrics_text() const override { return svc_.metrics_text(); }
+  std::string health_text() const override { return svc_.health_text(); }
+
+ private:
+  Service& svc_;
+};
+
+void ServiceCommands::solve(std::istream& in, std::ostream& out,
+                            const SessionOptions& opts) {
   std::string blob;
   if (!read_solve_frame(in, out, opts, blob)) return;
   Response res;
   try {
-    res = svc.solve(tt::from_text(blob));
+    res = svc_.solve(tt::from_text(blob));
   } catch (const std::exception& e) {
     write_err(out, "bad-request", e.what());
     return;
@@ -60,17 +75,17 @@ void handle_solve(Service& svc, std::istream& in, std::ostream& out,
 }
 
 /// TRACE <id>: replay one request's flight record from the ring.
-void handle_trace(Service& svc, const std::string& arg, std::ostream& out) {
-  const std::uint64_t trace = obs::trace_from_hex(arg);
-  if (trace == 0) {
+void ServiceCommands::trace(const std::string& arg, std::ostream& out) {
+  const std::uint64_t id = obs::trace_from_hex(arg);
+  if (id == 0) {
     write_err(out, "bad-request", "TRACE expects a 16-hex-digit id");
     return;
   }
-  const auto rec = svc.flight().find(trace);
+  const auto rec = svc_.flight().find(id);
   if (!rec.has_value()) {
     write_err(out, "not-found",
               "trace " + arg + " not in the flight recorder (ring holds " +
-                  std::to_string(svc.flight().capacity()) +
+                  std::to_string(svc_.flight().capacity()) +
                   " most recent requests)");
     return;
   }
@@ -191,33 +206,11 @@ tt::Tree tree_from_wire(const std::string& text) {
                                   std::to_string(idx) + " has action " +
                                   std::to_string(n.action) + " < -1");
     }
-    if (set_tok.size() < 2 || set_tok.front() != '{' ||
-        set_tok.back() != '}') {
-      throw std::invalid_argument("tree_from_wire: bad state set '" + set_tok +
-                                  "'");
+    try {
+      n.state = util::mask_from_string(set_tok, 32);  // any of Mask's bits
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument(std::string("tree_from_wire: ") + e.what());
     }
-    tt::Mask state = 0;
-    std::stringstream inner(set_tok.substr(1, set_tok.size() - 2));
-    std::string piece;
-    while (std::getline(inner, piece, ',')) {
-      if (piece.empty()) continue;
-      int bit = -1;
-      try {
-        std::size_t used = 0;
-        bit = std::stoi(piece, &used);
-        if (used != piece.size()) bit = -1;
-      } catch (const std::exception&) {
-        // fall through to the range check below with bit = -1
-      }
-      // Reject before util::bit: a shift by >= 32 (or negative) on Mask is
-      // undefined behavior, and the wire must never reach it.
-      if (bit < 0 || bit >= 32) {
-        throw std::invalid_argument("tree_from_wire: state element '" + piece +
-                                    "' is not a bit index in [0, 32)");
-      }
-      state |= util::bit(bit);
-    }
-    n.state = state;
     nodes.push_back(n);
   }
   if (nodes.empty() && root >= 0) {
@@ -244,8 +237,8 @@ tt::Tree tree_from_wire(const std::string& text) {
   return tt::Tree(std::move(nodes), root);
 }
 
-SessionResult serve_session(Service& svc, std::istream& in, std::ostream& out,
-                            const SessionOptions& opts) {
+SessionResult serve_session(CommandHandler& handler, std::istream& in,
+                            std::ostream& out, const SessionOptions& opts) {
   SessionResult result;
   std::string line;
   for (;;) {
@@ -262,15 +255,15 @@ SessionResult serve_session(Service& svc, std::istream& in, std::ostream& out,
     if (opts.control != nullptr) opts.control->on_frame();
     ++result.handled;
     if (line == "SOLVE") {
-      handle_solve(svc, in, out, opts);
+      handler.solve(in, out, opts);
     } else if (line == "STATS") {
-      out << "STATS\n" << svc.stats_text() << "END\n" << std::flush;
+      out << "STATS\n" << handler.stats_text() << "END\n" << std::flush;
     } else if (line == "METRICS") {
-      out << "METRICS\n" << svc.metrics_text() << "END\n" << std::flush;
+      out << "METRICS\n" << handler.metrics_text() << "END\n" << std::flush;
     } else if (line == "HEALTH") {
-      out << "HEALTH\n" << svc.health_text() << "END\n" << std::flush;
+      out << "HEALTH\n" << handler.health_text() << "END\n" << std::flush;
     } else if (line.rfind("TRACE ", 0) == 0) {
-      handle_trace(svc, line.substr(6), out);
+      handler.trace(line.substr(6), out);
     } else if (line == "PING") {
       out << "PONG\n" << std::flush;
     } else if (line == "QUIT") {
@@ -281,6 +274,12 @@ SessionResult serve_session(Service& svc, std::istream& in, std::ostream& out,
       write_err(out, "bad-request", "unknown command '" + line + "'");
     }
   }
+}
+
+SessionResult serve_session(Service& svc, std::istream& in, std::ostream& out,
+                            const SessionOptions& opts) {
+  ServiceCommands handler(svc);
+  return serve_session(handler, in, out, opts);
 }
 
 std::size_t serve_session(Service& svc, std::istream& in, std::ostream& out) {

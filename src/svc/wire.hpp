@@ -1,6 +1,6 @@
 // Newline-framed text protocol for ttp_serve, factored out of the daemon so
-// the stdio loop, the TCP connection handler, and the tests all drive the
-// exact same code over plain iostreams.
+// the stdio loop, the TCP connection handler, ttp_router's sessions and the
+// tests all drive the exact same code over plain iostreams.
 //
 // Request grammar (one command per line; '\r' tolerated before '\n'):
 //
@@ -123,9 +123,31 @@ void write_err(std::ostream& out, std::string_view code,
 bool read_solve_frame(std::istream& in, std::ostream& out,
                       const SessionOptions& opts, std::string& blob);
 
+/// What a daemon answers the protocol's commands with. serve_session owns
+/// the command loop — framing, CRLF, transport hooks, PING, QUIT and the
+/// unknown-command error — and dispatches the rest here: ttp_serve answers
+/// from its Service, ttp_router (src/cluster/router.hpp) by forwarding.
+class CommandHandler {
+ public:
+  virtual ~CommandHandler() = default;
+  /// SOLVE; the frame body (up to END) is still unread on `in`.
+  virtual void solve(std::istream& in, std::ostream& out,
+                     const SessionOptions& opts) = 0;
+  /// TRACE <arg>.
+  virtual void trace(const std::string& arg, std::ostream& out) = 0;
+  /// The STATS, METRICS and HEALTH payloads (between the verb and END).
+  virtual std::string stats_text() const = 0;
+  virtual std::string metrics_text() const = 0;
+  virtual std::string health_text() const = 0;
+};
+
 /// Runs one session: reads commands from `in` until EOF, QUIT, or the
 /// transport's should_end(), writes replies to `out` (flushed per reply).
 /// Protocol errors produce ERR replies, never exceptions.
+SessionResult serve_session(CommandHandler& handler, std::istream& in,
+                            std::ostream& out, const SessionOptions& opts);
+
+/// ttp_serve's session: serve_session answering from `svc`.
 SessionResult serve_session(Service& svc, std::istream& in, std::ostream& out,
                             const SessionOptions& opts);
 

@@ -1,5 +1,6 @@
 #include "tt/instance.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace ttp::tt {
@@ -55,17 +56,29 @@ const std::vector<double>& Instance::subset_weight_table() const {
 }
 
 void Instance::check() const {
-  for (int j = 0; j < k_; ++j) {
-    if (!(weights_[static_cast<std::size_t>(j)] > 0.0)) {
-      throw std::invalid_argument("Instance: weights must be positive");
+  double total = 0.0;
+  for (const double w : weights_) {
+    if (!(w > 0.0) || !std::isfinite(w)) {
+      throw std::invalid_argument(
+          "Instance: weights must be positive and finite");
+    }
+    total += w;
+  }
+  // The priors are w_j / Σw. A sum that overflows, or a weight whose prior
+  // underflows to 0, leaves an object without a usable prior (svc/canon
+  // divides by this same left-to-right sum).
+  for (const double w : weights_) {
+    if (!std::isfinite(total) || !(w / total > 0.0)) {
+      throw std::invalid_argument(
+          "Instance: weights must normalize to positive priors");
     }
   }
   for (const auto& a : actions_) {
     if ((a.set & ~universe()) != 0) {
       throw std::invalid_argument("Instance: action set outside universe");
     }
-    if (a.cost < 0.0) {
-      throw std::invalid_argument("Instance: negative action cost");
+    if (!(a.cost >= 0.0)) {
+      throw std::invalid_argument("Instance: action cost must be >= 0");
     }
   }
   for (int i = 0; i + 1 < num_actions(); ++i) {

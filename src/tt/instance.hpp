@@ -65,8 +65,10 @@ class Instance {
   /// cached; every solver reads this one table.
   const std::vector<double>& subset_weight_table() const;
 
-  /// Structural sanity: k in range, weights positive, sets within universe,
-  /// costs non-negative. Throws std::invalid_argument on violation.
+  /// Structural sanity: k in range; weights finite and positive, with a
+  /// finite sum that no weight underflows to 0 against (so the priors
+  /// w_j / Σw are finite and positive); sets within universe; costs
+  /// non-negative and not NaN. Throws std::invalid_argument on violation.
   void check() const;
 
   /// Necessary and sufficient condition for a successful procedure to exist

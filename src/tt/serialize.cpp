@@ -1,41 +1,10 @@
 #include "tt/serialize.hpp"
 
-#include <algorithm>
-#include <bit>
-#include <cstring>
 #include <fstream>
-#include <numeric>
 #include <sstream>
 #include <stdexcept>
-#include <tuple>
 
 namespace ttp::tt {
-
-namespace {
-
-Mask parse_set(const std::string& tok, int k, int line) {
-  if (tok.size() < 2 || tok.front() != '{' || tok.back() != '}') {
-    throw std::invalid_argument("line " + std::to_string(line) +
-                                ": expected {a,b,...} set, got '" + tok + "'");
-  }
-  Mask m = 0;
-  std::stringstream inner(tok.substr(1, tok.size() - 2));
-  std::string piece;
-  while (std::getline(inner, piece, ',')) {
-    if (piece.empty()) continue;
-    const int obj = std::stoi(piece);
-    if (obj < 0 || obj >= k) {
-      throw std::invalid_argument("line " + std::to_string(line) +
-                                  ": object " + piece + " outside universe");
-    }
-    m |= util::bit(obj);
-  }
-  return m;
-}
-
-std::string set_to_text(Mask m) { return util::mask_to_string(m); }
-
-}  // namespace
 
 void write_text(std::ostream& os, const Instance& ins) {
   os.precision(17);  // lossless double round-trip
@@ -45,47 +14,13 @@ void write_text(std::ostream& os, const Instance& ins) {
   os << "\n";
   for (const Action& a : ins.actions()) {
     os << (a.is_test ? "test " : "treat ") << a.name << ' '
-       << set_to_text(a.set) << ' ' << a.cost << "\n";
+       << util::mask_to_string(a.set) << ' ' << a.cost << "\n";
   }
 }
 
 std::string to_text(const Instance& ins) {
   std::ostringstream os;
   write_text(os, ins);
-  return os.str();
-}
-
-std::vector<int> canonical_action_order(const Instance& ins) {
-  std::vector<int> ord(static_cast<std::size_t>(ins.num_actions()));
-  std::iota(ord.begin(), ord.end(), 0);
-  // Index as the last key makes plain sort stable: duplicate (kind, set,
-  // cost) actions keep their relative input order deterministically.
-  std::sort(ord.begin(), ord.end(), [&](int a, int b) {
-    const Action& x = ins.action(a);
-    const Action& y = ins.action(b);
-    // Tests (is_test == true) sort before treatments.
-    return std::make_tuple(!x.is_test, x.set, x.cost, a) <
-           std::make_tuple(!y.is_test, y.set, y.cost, b);
-  });
-  return ord;
-}
-
-void write_canonical_text(std::ostream& os, const Instance& ins) {
-  os.precision(17);  // lossless double round-trip
-  os << "tt " << ins.k() << "\n";
-  os << "weights";
-  for (int j = 0; j < ins.k(); ++j) os << ' ' << ins.weight(j);
-  os << "\n";
-  for (const int i : canonical_action_order(ins)) {
-    const Action& a = ins.action(i);
-    os << (a.is_test ? "test " : "treat ") << a.name << ' '
-       << set_to_text(a.set) << ' ' << a.cost << "\n";
-  }
-}
-
-std::string to_canonical_text(const Instance& ins) {
-  std::ostringstream os;
-  write_canonical_text(os, ins);
   return os.str();
 }
 
@@ -129,7 +64,12 @@ Instance read_text(std::istream& is) {
         throw std::invalid_argument("line " + std::to_string(lineno) +
                                     ": expected '<name> {set} <cost>'");
       }
-      p.set = parse_set(set_tok, k, lineno);
+      try {
+        p.set = util::mask_from_string(set_tok, k);
+      } catch (const std::invalid_argument& e) {
+        throw std::invalid_argument("line " + std::to_string(lineno) + ": " +
+                                    e.what());
+      }
       pending.push_back(std::move(p));
     } else {
       throw std::invalid_argument("line " + std::to_string(lineno) +
@@ -173,7 +113,7 @@ Instance load_file(const std::string& path) {
 }
 
 // ---------------------------------------------------------------------------
-// Binary codecs
+// Binary tree codec
 
 namespace {
 
@@ -190,16 +130,6 @@ void put_varint(std::string& out, std::uint64_t v) {
 void put_zigzag(std::string& out, std::int64_t v) {
   put_varint(out, (static_cast<std::uint64_t>(v) << 1) ^
                       static_cast<std::uint64_t>(v >> 63));
-}
-
-void put_double(std::string& out, double d) {
-  // Raw IEEE bits, little-endian: byte-exact round trip with no decimal
-  // detour, so decode→to_text matches the source text exactly.
-  std::uint64_t bits = std::bit_cast<std::uint64_t>(d);
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>(bits & 0xff));
-    bits >>= 8;
-  }
 }
 
 /// Bounds-checked reader over untrusted bytes. Every accessor throws
@@ -233,25 +163,6 @@ struct BinReader {
   std::int64_t zigzag() {
     const std::uint64_t v = varint();
     return static_cast<std::int64_t>((v >> 1) ^ (~(v & 1) + 1));
-  }
-
-  double f64() {
-    if (left < 8) fail("truncated double");
-    std::uint64_t bits = 0;
-    for (int i = 0; i < 8; ++i) {
-      bits |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    }
-    p += 8;
-    left -= 8;
-    return std::bit_cast<double>(bits);
-  }
-
-  std::string bytes(std::size_t n) {
-    if (left < n) fail("truncated byte run");
-    std::string out(reinterpret_cast<const char*>(p), n);
-    p += n;
-    left -= n;
-    return out;
   }
 
   void expect_done() const {
@@ -317,69 +228,6 @@ Tree decode_tree_binary(std::string_view bytes) {
   r.expect_done();
   if (count == 0) return Tree{};
   return Tree(std::move(nodes), root);
-}
-
-void encode_instance_binary(const Instance& ins, std::string& out) {
-  if (static_cast<std::uint64_t>(ins.num_actions()) > kMaxBinaryActions) {
-    throw std::invalid_argument("encode_instance_binary: too many actions");
-  }
-  put_varint(out, static_cast<std::uint64_t>(ins.k()));
-  for (int j = 0; j < ins.k(); ++j) put_double(out, ins.weight(j));
-  put_varint(out, static_cast<std::uint64_t>(ins.num_actions()));
-  for (const Action& a : ins.actions()) {
-    if (a.name.size() > kMaxBinaryNameBytes) {
-      throw std::invalid_argument("encode_instance_binary: name too long");
-    }
-    out.push_back(a.is_test ? 1 : 0);
-    put_varint(out, a.set);
-    put_double(out, a.cost);
-    put_varint(out, a.name.size());
-    out.append(a.name);
-  }
-}
-
-Instance decode_instance_binary(std::string_view bytes) {
-  BinReader r(bytes);
-  const std::uint64_t k64 = r.varint();
-  if (k64 < 1 || k64 > 32) BinReader::fail("k outside [1, 32]");
-  const int k = static_cast<int>(k64);
-  std::vector<double> weights(static_cast<std::size_t>(k));
-  for (double& w : weights) w = r.f64();
-  const std::size_t count =
-      checked_count(r.varint(), kMaxBinaryActions, "action count past cap");
-  struct Decoded {
-    bool is_test;
-    Mask set;
-    double cost;
-    std::string name;
-  };
-  std::vector<Decoded> actions;
-  actions.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    Decoded d;
-    const std::string kind = r.bytes(1);
-    if (kind[0] != 0 && kind[0] != 1) BinReader::fail("bad action kind byte");
-    d.is_test = kind[0] == 1;
-    const std::uint64_t set = r.varint();
-    if (set > 0xffffffffull) BinReader::fail("action set past 32 bits");
-    d.set = static_cast<Mask>(set);
-    d.cost = r.f64();
-    const std::size_t name_len = checked_count(
-        r.varint(), kMaxBinaryNameBytes, "name length past cap");
-    d.name = r.bytes(name_len);
-    actions.push_back(std::move(d));
-  }
-  r.expect_done();
-  Instance ins(k, std::move(weights));
-  for (Decoded& d : actions) {
-    if (d.is_test) {
-      ins.add_test(d.set, d.cost, std::move(d.name));
-    } else {
-      ins.add_treatment(d.set, d.cost, std::move(d.name));
-    }
-  }
-  ins.check();
-  return ins;
 }
 
 }  // namespace ttp::tt

@@ -8,13 +8,15 @@
 //   treat cureA  {0}     2.0
 //
 // Order of actions is preserved within each kind; '#' starts a comment.
+// Sets are parsed by util::mask_from_string, the same parser the wire's
+// tree text uses. The serving layer's canonical form (action order,
+// normalized weights, key) lives in svc/canon, not here.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "tt/instance.hpp"
 #include "tt/tree.hpp"
@@ -27,20 +29,6 @@ namespace ttp::tt {
 std::string to_text(const Instance& ins);
 void write_text(std::ostream& os, const Instance& ins);
 
-/// The canonical action order used by the serving layer (svc/canon) to make
-/// semantically identical instances collide: tests before treatments, each
-/// group stably sorted by (set, cost). Returns a permutation `ord` with
-/// `ord[i]` = the original index of the i-th canonical action; duplicate
-/// (set, cost) actions keep their relative order, so the permutation is
-/// deterministic.
-std::vector<int> canonical_action_order(const Instance& ins);
-
-/// Text form with actions emitted in canonical_action_order. Parsing it
-/// yields the canonically ordered instance (names preserved); svc/canon
-/// additionally normalizes weights and regenerates names before hashing.
-std::string to_canonical_text(const Instance& ins);
-void write_canonical_text(std::ostream& os, const Instance& ins);
-
 /// Parses the text form; throws std::invalid_argument with a line-numbered
 /// message on malformed input.
 Instance from_text(const std::string& text);
@@ -51,27 +39,25 @@ void save_file(const std::string& path, const Instance& ins);
 Instance load_file(const std::string& path);
 
 // ---------------------------------------------------------------------------
-// Compact binary codecs (the durable procedure store's record payloads,
-// src/store/format.hpp). Layout: LEB128 varints for counts and masks,
-// zigzag varints for signed tree indices, doubles as their raw IEEE-754
-// bits little-endian — so a decode→re-encode round trip is byte-identical
-// and decode→to_text reproduces the exact source text (doubles never pass
-// through a decimal conversion).
+// Compact binary tree codec (the durable procedure store's record payload,
+// src/store/format.hpp). Layout: LEB128 varint node count, then the root
+// and each node's state mask, action, yes and no arcs as varints (zigzag
+// for the signed fields, so the -1 "absent" marker stays one byte). A
+// decode -> re-encode round trip is byte-identical.
 //
-// Decoders are hardened for untrusted bytes: every read is bounds-checked
+// The decoder is hardened for untrusted bytes: every read is bounds-checked
 // against the input span (never past-the-end, no matter how the length
-// fields lie), counts are capped (kMaxBinaryNodes / kMaxBinaryActions /
-// kMaxBinaryNameBytes) before any allocation, and tree arcs / action
-// indices / set bits are range-checked. Malformed input throws
-// std::invalid_argument; it never crashes or reads out of bounds
-// (tests/test_serialize_binary.cpp fuzzes truncations and bit flips under
-// the sanitizer jobs).
+// fields lie), the node count is capped (kMaxBinaryNodes) before any
+// allocation, and arcs, actions and state bits are range-checked.
+// Malformed input throws std::invalid_argument; it never crashes or reads
+// out of bounds (tests/test_serialize_binary.cpp fuzzes truncations and
+// bit flips under the sanitizer jobs).
 
-/// Decode-side allocation caps; encodes above them are rejected too, so the
-/// codec stays symmetric.
+/// kMaxBinaryNodes caps the node count on encode and decode alike. Actions
+/// index an instance the codec never sees, so kMaxBinaryActions only bounds
+/// a decoded action's value range.
 inline constexpr std::uint64_t kMaxBinaryNodes = std::uint64_t{1} << 26;
 inline constexpr std::uint64_t kMaxBinaryActions = std::uint64_t{1} << 20;
-inline constexpr std::uint64_t kMaxBinaryNameBytes = std::uint64_t{1} << 16;
 
 /// Appends the binary form of `tree` to `out`.
 void encode_tree_binary(const Tree& tree, std::string& out);
@@ -80,14 +66,5 @@ void encode_tree_binary(const Tree& tree, std::string& out);
 /// malformed input (truncation, arc indices outside the node array, counts
 /// past the caps). Requires the whole span to be consumed.
 Tree decode_tree_binary(std::string_view bytes);
-
-/// Appends the binary form of `ins` (weights, actions with names, insertion
-/// order preserved) to `out`.
-void encode_instance_binary(const Instance& ins, std::string& out);
-
-/// Parses encode_instance_binary output; throws std::invalid_argument on
-/// malformed input. The result satisfies Instance::check() and
-/// to_text(decode(encode(ins))) == to_text(ins) byte-for-byte.
-Instance decode_instance_binary(std::string_view bytes);
 
 }  // namespace ttp::tt

@@ -1,5 +1,8 @@
 #include "util/bits.hpp"
 
+#include <algorithm>
+#include <stdexcept>
+
 namespace ttp::util {
 
 Mask next_same_popcount(Mask m, int k) noexcept {
@@ -55,6 +58,39 @@ std::string mask_to_string(Mask m) {
   }
   s += '}';
   return s;
+}
+
+Mask mask_from_string(std::string_view tok, int width) {
+  if (tok.size() < 2 || tok.front() != '{' || tok.back() != '}') {
+    throw std::invalid_argument("expected {a,b,...} set, got '" +
+                                std::string(tok) + "'");
+  }
+  const int limit = std::clamp(width, 0, 32);
+  Mask m = 0;
+  std::string_view rest = tok.substr(1, tok.size() - 2);
+  while (!rest.empty()) {
+    const std::size_t comma = rest.find(',');
+    const std::string_view piece = rest.substr(0, comma);
+    rest = comma == std::string_view::npos ? std::string_view{}
+                                           : rest.substr(comma + 1);
+    if (piece.empty()) continue;
+    int v = 0;
+    for (const char c : piece) {
+      if (c < '0' || c > '9') {
+        throw std::invalid_argument("set element '" + std::string(piece) +
+                                    "' is not a decimal index");
+      }
+      // Saturates once out of range, so a long digit run cannot overflow.
+      if (v < limit) v = v * 10 + (c - '0');
+    }
+    if (v >= limit) {
+      throw std::invalid_argument("set element '" + std::string(piece) +
+                                  "' outside universe [0, " +
+                                  std::to_string(limit) + ")");
+    }
+    m |= bit(v);
+  }
+  return m;
 }
 
 std::string to_binary(std::uint64_t v, int width) {

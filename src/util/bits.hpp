@@ -8,6 +8,7 @@
 #include <bit>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ttp::util {
@@ -64,6 +65,13 @@ std::vector<Mask> layer_subsets(int k, int j);
 
 /// Render a mask as "{a,b,c}" (ascending elements), "{}" if empty.
 std::string mask_to_string(Mask m);
+
+/// Parses the "{a,b,...}" form (any element order, empty elements skipped)
+/// — the one set parser of the instance text and the wire's tree text.
+/// Each element must be a whole decimal (digits only) below `width`
+/// (clamped to Mask's 32 bits). Throws std::invalid_argument naming the
+/// token or element otherwise.
+Mask mask_from_string(std::string_view tok, int width);
 
 /// Render the low `width` bits of `v`, most significant first.
 std::string to_binary(std::uint64_t v, int width);

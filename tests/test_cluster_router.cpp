@@ -288,8 +288,8 @@ TEST(SvcRouterArgs, ParsesFullFlagSet) {
   EXPECT_EQ(args.cfg.health.eject_after, 2);
   EXPECT_EQ(args.cfg.health.readmit_after, 1);
   EXPECT_EQ(args.server.max_conns, 32u);
+  // The session pool's cap is the one that applies to SOLVE frames.
   EXPECT_EQ(args.server.max_frame_bytes, 65536u);
-  EXPECT_EQ(args.cfg.max_frame_bytes, 65536u);
   EXPECT_EQ(args.server.port, 7070);
 }
 
@@ -404,6 +404,12 @@ TEST(SvcRouter, RejectsUnparseableFramesLocally) {
   ASSERT_TRUE(c.send("SOLVE\nthis is not an instance\nEND\n"));
   const std::string verdict = c.read_line();
   EXPECT_EQ(verdict.rfind("ERR bad-request", 0), 0u) << verdict;
+  // Weights whose priors underflow to 0 parse as numbers but are no
+  // instance either.
+  ASSERT_TRUE(c.send(
+      "SOLVE\ntt 2\nweights 1e-300 1e308\ntreat t {0,1} 1\nEND\n"));
+  const std::string unnormalizable = c.read_line();
+  EXPECT_EQ(unnormalizable.rfind("ERR bad-request", 0), 0u) << unnormalizable;
   // The garbage never reached the backend.
   EXPECT_EQ(b1.service().metrics().counter("svc.requests").value(), 0u);
   EXPECT_EQ(rh.stop(), 0);

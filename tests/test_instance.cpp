@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
+#include <vector>
 
 namespace ttp::tt {
 namespace {
@@ -61,6 +63,20 @@ TEST(Instance, CheckRejectsBadData) {
   Instance bad_cost(2, {1.0, 1.0});
   bad_cost.add_treatment(0b01, -1.0);
   EXPECT_THROW(bad_cost.check(), std::invalid_argument);
+
+  Instance nan_cost(2, {1.0, 1.0});
+  nan_cost.add_treatment(0b01, std::numeric_limits<double>::quiet_NaN());
+  EXPECT_THROW(nan_cost.check(), std::invalid_argument);
+
+  // Non-finite weights, and finite ones that do not normalize to positive
+  // priors (the sum overflows, or one prior underflows to 0).
+  for (const std::vector<double>& w : std::vector<std::vector<double>>{
+           {std::numeric_limits<double>::infinity(), 1.0},
+           {std::numeric_limits<double>::quiet_NaN(), 1.0},
+           {1e308, 1e308},
+           {1e-300, 1e308}}) {
+    EXPECT_THROW(Instance(2, w).check(), std::invalid_argument) << w[0];
+  }
 }
 
 TEST(Instance, EveryObjectTreatable) {

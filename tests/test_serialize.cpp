@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <tuple>
 
 #include "tt/generator.hpp"
 #include "tt/serialize.hpp"
@@ -86,67 +85,6 @@ TEST(Serialize, PropertyRoundTripRandomizedWithHostileShapes) {
   }
 }
 
-TEST(Serialize, CanonicalOrderSortsTestsFirstBySetThenCost) {
-  util::Rng rng(99);
-  RandomOptions opt;
-  opt.num_tests = 4;
-  opt.num_treatments = 5;
-  for (int trial = 0; trial < 10; ++trial) {
-    const Instance ins = random_instance(6, opt, rng);
-    const std::vector<int> ord = canonical_action_order(ins);
-    ASSERT_EQ(ord.size(), static_cast<std::size_t>(ins.num_actions()));
-    // ord is a permutation...
-    std::vector<int> seen(ord.size(), 0);
-    for (int i : ord) seen[static_cast<std::size_t>(i)]++;
-    for (int c : seen) EXPECT_EQ(c, 1);
-    // ...and the induced sequence is sorted: tests before treatments, each
-    // group by (set, cost).
-    for (std::size_t p = 1; p < ord.size(); ++p) {
-      const Action& x = ins.action(ord[p - 1]);
-      const Action& y = ins.action(ord[p]);
-      EXPECT_LE(std::make_tuple(!x.is_test, x.set, x.cost),
-                std::make_tuple(!y.is_test, y.set, y.cost))
-          << "position " << p;
-    }
-  }
-}
-
-TEST(Serialize, CanonicalTextIsOrderInvariantAndReparsable) {
-  // The same actions inserted in two different orders serialize to the same
-  // canonical text (names ride along with their actions).
-  Instance a(3, {0.5, 0.3, 0.2});
-  a.add_test(0b011u, 1.0, "t1");
-  a.add_test(0b101u, 1.5, "t2");
-  a.add_treatment(0b001u, 2.0, "c1");
-  a.add_treatment(0b110u, 3.0, "c2");
-  Instance b(3, {0.5, 0.3, 0.2});
-  b.add_treatment(0b110u, 3.0, "c2");
-  b.add_test(0b101u, 1.5, "t2");
-  b.add_treatment(0b001u, 2.0, "c1");
-  b.add_test(0b011u, 1.0, "t1");
-  EXPECT_EQ(to_canonical_text(a), to_canonical_text(b));
-  // Plain to_text preserves insertion order, so it differs between the two.
-  EXPECT_NE(to_text(a), to_text(b));
-  // Canonical text is itself valid instance text; parsing it yields the
-  // canonically ordered instance, and a second canonicalization is a no-op.
-  const Instance canon = from_text(to_canonical_text(a));
-  EXPECT_TRUE(canon.action(0).is_test);
-  EXPECT_TRUE(canon.action(1).is_test);
-  EXPECT_EQ(to_canonical_text(canon), to_canonical_text(a));
-  EXPECT_EQ(to_text(canon), to_canonical_text(a));
-}
-
-TEST(Serialize, CanonicalOrderIsStableAcrossDuplicates) {
-  // Two actions with identical (kind, set, cost) keep their relative input
-  // order — the permutation is deterministic, not tie-arbitrary.
-  Instance ins(2, {0.5, 0.5});
-  ins.add_test(0b01u, 1.0, "first");
-  ins.add_test(0b01u, 1.0, "second");
-  ins.add_treatment(0b11u, 2.0, "fix");
-  const std::vector<int> ord = canonical_action_order(ins);
-  EXPECT_EQ(ord, (std::vector<int>{0, 1, 2}));
-}
-
 TEST(Serialize, ParsesCommentsAndWhitespace) {
   const Instance ins = from_text(R"(
 # a comment
@@ -180,6 +118,8 @@ TEST(Serialize, ErrorsCarryLineNumbers) {
   expect_error("tt 2\nweights 1 1\nbogus x {0} 1\n", "unknown keyword");
   expect_error("tt 2\nweights 1 1\ntest t (0) 1\n", "expected {a,b,...}");
   expect_error("tt 2\nweights 1 1\ntest t {5} 1\n", "outside universe");
+  // The whole element must be a decimal: "{1x}" is not the set {1}.
+  expect_error("tt 2\nweights 1 1\ntest t {1x} 1\n", "not a decimal");
   expect_error("treat t {0} 1\n", "before 'tt");
 }
 

@@ -4,6 +4,7 @@
 // also runs under the TSan CI job alongside the other serving tests.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -99,6 +100,10 @@ TEST(StoreFormat, HeaderRejectsForeignBytes) {
   // Unsupported version.
   bad = good;
   bad[4] = char(0x7f);
+  EXPECT_THROW(check_segment_header(bad), std::invalid_argument);
+  // Version 1, whose keys hashed the canonical text: never replayed.
+  bad = good;
+  bad[4] = char(1);
   EXPECT_THROW(check_segment_header(bad), std::invalid_argument);
   // Foreign byte order (endian marker bytes reversed).
   bad = good;
@@ -437,6 +442,21 @@ ServiceConfig store_backed_config(const std::string& dir) {
   return cfg;
 }
 
+/// svc.store.appends once the write-behind appends have had their chance:
+/// the scheduler appends only after it has resolved the waiters
+/// (docs/store.md), so a reply can arrive before its append. Waits up to
+/// 5 s for the counter to reach `want`, then reads it.
+std::uint64_t appends_after_write_behind(const Service& svc,
+                                         std::uint64_t want) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (svc.metrics().get("svc.store.appends") < want &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return svc.metrics().get("svc.store.appends");
+}
+
 TEST(SvcStore, OffByDefaultAndZeroCost) {
   Service svc;
   EXPECT_EQ(svc.store(), nullptr);
@@ -454,7 +474,7 @@ TEST(SvcStore, WriteBehindAppendsEverySolvedProcedure) {
   const Response r = svc.solve(tt::fig1_example());
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.cache, CacheOutcome::kMiss);
-  EXPECT_EQ(svc.metrics().get("svc.store.appends"), 1u);
+  EXPECT_EQ(appends_after_write_behind(svc, 1), 1u);
   EXPECT_EQ(svc.store()->index_size(), 1u);
   // A cache hit does not re-append.
   ASSERT_TRUE(svc.solve(tt::fig1_example()).ok());
@@ -529,8 +549,9 @@ TEST(SvcStore, ConcurrentSolvesWriteBehindSafely) {
       threads.emplace_back([&svc, &ins] { (void)svc.solve(ins); });
     }
     for (auto& t : threads) t.join();
-    EXPECT_EQ(svc.metrics().get("svc.store.appends"),
-              svc.metrics().get("svc.solve.kernel_instances"));
+    const std::uint64_t solved =
+        svc.metrics().get("svc.solve.kernel_instances");
+    EXPECT_EQ(appends_after_write_behind(svc, solved), solved);
   }
   // Everything written under contention is served warm by a fresh service.
   Service svc(store_backed_config(tmp.path));

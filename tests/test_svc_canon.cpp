@@ -3,6 +3,9 @@
 // into the requester's coordinates.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <tuple>
 #include <unordered_set>
 
 #include "svc/canon.hpp"
@@ -48,7 +51,6 @@ TEST(SvcCanon, EquivalentSpellingsCollide) {
   for (const double scale : {1.0, 2.0, 8.0, 0.5}) {
     const Canonical other = canonicalize(shuffled_renamed_scaled(scale));
     EXPECT_EQ(base.key, other.key) << "scale=" << scale;
-    EXPECT_EQ(base.text, other.text) << "scale=" << scale;
     EXPECT_DOUBLE_EQ(other.weight_scale, scale);
   }
 }
@@ -148,13 +150,113 @@ TEST(SvcCanon, CanonicalizationIsIdempotentOnKeys) {
   const Canonical once = canonicalize(ins);
   const Canonical twice = canonicalize(once.instance);
   EXPECT_EQ(once.key, twice.key);
-  EXPECT_EQ(once.text, twice.text);
 }
 
 TEST(SvcCanon, MalformedInstanceThrows) {
   Instance bad(2, {0.5, 0.5});
   bad.add_treatment(bit(0) | bit(1), -1.0);  // negative cost
   EXPECT_THROW(canonicalize(bad), std::invalid_argument);
+
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Case {
+    const char* why;
+    std::vector<double> weights;
+    double cost;
+  };
+  for (const Case& c : std::vector<Case>{
+           {"weight sum overflows", {1e308, 1e308}, 1.0},
+           {"normalized weight underflows", {1e-300, 1e308}, 1.0},
+           {"infinite weight", {inf, 1.0}, 1.0},
+           {"NaN weight", {nan, 1.0}, 1.0},
+           {"NaN cost", {0.5, 0.5}, nan},
+       }) {
+    Instance ins(2, c.weights);
+    ins.add_test(bit(0), c.cost);
+    ins.add_treatment(bit(0) | bit(1), 1.0);
+    EXPECT_THROW(canonicalize(ins), std::invalid_argument) << c.why;
+  }
+}
+
+TEST(SvcCanon, SignedZeroCostsCollide) {
+  // -0.0 == 0.0 to the DP, so the two spellings are one problem; the
+  // canonical instance carries +0.0 and the key hashes those bits.
+  Instance pos(2, {0.5, 0.5});
+  pos.add_test(bit(0), 0.0);
+  pos.add_treatment(bit(0) | bit(1), 1.0);
+  Instance neg(2, {0.5, 0.5});
+  neg.add_test(bit(0), -0.0);
+  neg.add_treatment(bit(0) | bit(1), 1.0);
+  const Canonical a = canonicalize(pos);
+  const Canonical b = canonicalize(neg);
+  EXPECT_EQ(a.key, b.key);
+  EXPECT_FALSE(std::signbit(b.instance.action(0).cost));
+}
+
+TEST(SvcCanon, CanonicalOrderSortsTestsFirstBySetThenCost) {
+  util::Rng rng(99);
+  tt::RandomOptions opt;
+  opt.num_tests = 4;
+  opt.num_treatments = 5;
+  for (int trial = 0; trial < 10; ++trial) {
+    const Instance ins = tt::random_instance(6, opt, rng);
+    const std::vector<int> ord = canonical_action_order(ins);
+    ASSERT_EQ(ord.size(), static_cast<std::size_t>(ins.num_actions()));
+    // ord is a permutation...
+    std::vector<int> seen(ord.size(), 0);
+    for (int i : ord) seen[static_cast<std::size_t>(i)]++;
+    for (int c : seen) EXPECT_EQ(c, 1);
+    // ...and the induced sequence is sorted: tests before treatments, each
+    // group by (set, cost).
+    for (std::size_t p = 1; p < ord.size(); ++p) {
+      const tt::Action& x = ins.action(ord[p - 1]);
+      const tt::Action& y = ins.action(ord[p]);
+      EXPECT_LE(std::make_tuple(!x.is_test, x.set, x.cost),
+                std::make_tuple(!y.is_test, y.set, y.cost))
+          << "position " << p;
+    }
+  }
+}
+
+TEST(SvcCanon, ActionOrderDoesNotChangeTheCanonicalForm) {
+  // The same actions inserted in two different orders canonicalize to the
+  // same instance and key; canonicalizing that instance again is a no-op.
+  Instance a(3, {0.5, 0.25, 0.25});
+  a.add_test(0b011u, 1.0, "t1");
+  a.add_test(0b101u, 1.5, "t2");
+  a.add_treatment(0b001u, 2.0, "c1");
+  a.add_treatment(0b110u, 3.0, "c2");
+  Instance b(3, {0.5, 0.25, 0.25});
+  b.add_treatment(0b110u, 3.0, "c2");
+  b.add_test(0b101u, 1.5, "t2");
+  b.add_treatment(0b001u, 2.0, "c1");
+  b.add_test(0b011u, 1.0, "t1");
+  const Canonical ca = canonicalize(a);
+  const Canonical cb = canonicalize(b);
+  EXPECT_EQ(ca.key, cb.key);
+  ASSERT_EQ(ca.instance.num_actions(), cb.instance.num_actions());
+  for (int i = 0; i < ca.instance.num_actions(); ++i) {
+    const tt::Action& x = ca.instance.action(i);
+    const tt::Action& y = cb.instance.action(i);
+    EXPECT_EQ(x.is_test, y.is_test) << i;
+    EXPECT_EQ(x.set, y.set) << i;
+    EXPECT_EQ(x.cost, y.cost) << i;
+    EXPECT_EQ(x.name, y.name) << i;  // regenerated, never the requester's
+  }
+  EXPECT_TRUE(ca.instance.action(0).is_test);
+  EXPECT_TRUE(ca.instance.action(1).is_test);
+  EXPECT_EQ(canonicalize(ca.instance).key, ca.key);
+}
+
+TEST(SvcCanon, CanonicalOrderIsStableAcrossDuplicates) {
+  // Two actions with identical (kind, set, cost) keep their relative input
+  // order — the permutation is deterministic, not tie-arbitrary.
+  Instance ins(2, {0.5, 0.5});
+  ins.add_test(0b01u, 1.0, "first");
+  ins.add_test(0b01u, 1.0, "second");
+  ins.add_treatment(0b11u, 2.0, "fix");
+  const std::vector<int> ord = canonical_action_order(ins);
+  EXPECT_EQ(ord, (std::vector<int>{0, 1, 2}));
 }
 
 }  // namespace

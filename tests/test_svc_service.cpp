@@ -142,6 +142,30 @@ TEST(SvcService, MalformedInstanceResolvesToError) {
   EXPECT_EQ(svc.metrics().get("svc.solve.kernel_instances"), 0u);
 }
 
+TEST(SvcService, UnnormalizableWeightsFailOnlyTheirOwnRequest) {
+  // Both weights pass the per-weight check but their sum overflows, so the
+  // normalized weights would be 0. Rejected at admission, it must not reach
+  // the micro-batch: BatchSolver validates every instance first, and one
+  // bad instance there fails the whole batch.
+  ServiceConfig cfg;
+  cfg.scheduler.autostart = false;  // stage both, then drain once
+  Service svc(cfg);
+  Instance overflowing(2, {1e308, 1e308});
+  overflowing.add_test(bit(0), 1.0);
+  overflowing.add_treatment(bit(0) | bit(1), 1.0);
+  Service::Pending bad = svc.submit(overflowing);
+  Service::Pending good = svc.submit(tt::fig1_example());
+  svc.scheduler().start();
+  const Response bad_r = bad.get();
+  EXPECT_EQ(bad_r.status, Status::kError);
+  EXPECT_EQ(bad_r.cache, CacheOutcome::kNone);
+  const Response good_r = good.get();
+  ASSERT_TRUE(good_r.ok()) << good_r.error;
+  EXPECT_NEAR(good_r.cost,
+              tt::SequentialSolver().solve(tt::fig1_example()).cost, 1e-9);
+  EXPECT_EQ(svc.metrics().get("svc.requests.malformed"), 1u);
+}
+
 TEST(SvcService, OversizeRejectIsTypedAndCounted) {
   ServiceConfig cfg;
   cfg.scheduler.max_k = 3;
@@ -162,7 +186,7 @@ TEST(SvcService, StatsTextNamesTheCoreInstruments) {
   for (const char* needle :
        {"svc.requests", "svc.cache.hits", "svc.cache.misses",
         "svc.sched.leaders", "svc.solve.kernel_instances",
-        "svc.request.us"}) {
+        "svc.responses.ok = 2"}) {
     EXPECT_NE(stats.find(needle), std::string::npos) << needle << "\n"
                                                      << stats;
   }

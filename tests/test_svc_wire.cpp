@@ -138,6 +138,10 @@ TEST(SvcWire, ProtocolErrorsAreRepliesNotExceptions) {
   // Malformed instance text inside a complete frame.
   const std::string reply = session(svc, "SOLVE\nnot an instance\nEND\n");
   EXPECT_EQ(reply.rfind("ERR bad-request", 0), 0u) << reply;
+  // Weights whose sum overflows cannot be normalized: a client error too.
+  const std::string overflow = session(
+      svc, "SOLVE\ntt 2\nweights 1e308 1e308\ntreat t {0,1} 1\nEND\n");
+  EXPECT_EQ(overflow.rfind("ERR bad-request", 0), 0u) << overflow;
   // The daemon keeps serving after an error.
   EXPECT_NE(session(svc, "JUNK\nPING\n").find("PONG"), std::string::npos);
 }
