@@ -13,11 +13,12 @@
 //                       delta here is build/host noise; the comparison is
 //                       the control.
 //   BM_TelemetryRecord  the incremental cost of one request's telemetry:
-//                       trace mint + binding + sketch records + one flight
-//                       record — the exact per-request work Service adds.
+//                       trace mint + binding + a wire cache hit's timeline
+//                       (six stage marks) + its sketch records + one flight
+//                       record — the per-request work the daemon adds.
 //   BM_ServiceWarmPath  end-to-end Service::solve on a warm cache (every
 //                       request a hit), the hot serving path that now runs
-//                       the full telemetry finalize per request.
+//                       publishes its timeline on every request.
 //
 // Run with --json BENCH_e26.json; compare against the committed e25 file:
 //   tools/bench_compare.py BENCH_e25.json BENCH_e26.json --threshold 0.03
@@ -30,7 +31,6 @@
 #include <vector>
 
 #include "obs/flight.hpp"
-#include "obs/quantiles.hpp"
 #include "obs/trace.hpp"
 #include "svc/service.hpp"
 #include "tt/generator.hpp"
@@ -89,23 +89,26 @@ void BM_WarmSolve(benchmark::State& state, const char* variant) {
 }
 
 /// The per-request telemetry work in isolation: mint a trace ID, bind it,
-/// record the six stage sketches, publish one flight record. This is the
-/// entire incremental cost the tentpole adds to a cache hit.
+/// open a timeline and mark the six stages a wire cache hit crosses (one
+/// clock read each), record them and e2e in ttp_serve's stage sketches,
+/// publish one flight record. This is the entire incremental cost the
+/// timeline adds to a cache hit.
 void BM_TelemetryRecord(benchmark::State& state) {
+  using ttp::obs::Stage;
   ttp::obs::FlightRecorder flight(4096);
-  ttp::obs::ShardedQuantiles sketches[6];
-  std::uint64_t spins = 0;
+  ttp::obs::StageSketches sketches(ttp::obs::kServeStages);
   for (auto _ : state) {
     const std::uint64_t trace = ttp::obs::next_trace_id();
     const ttp::obs::TraceBinding bind(trace);
     ttp::obs::FlightRecord rec;
     rec.trace = trace;
     rec.start_ns = ttp::obs::steady_now_ns();
-    rec.admit_us = static_cast<std::uint32_t>(spins & 0xff);
-    rec.e2e_us = spins & 0xffff;
-    for (auto& s : sketches) s.record(rec.e2e_us);
+    for (const Stage s : {Stage::kRead, Stage::kParse, Stage::kAdmit,
+                          Stage::kRespond, Stage::kFormat, Stage::kWrite}) {
+      rec.mark(s, ttp::obs::steady_now_ns());
+    }
+    sketches.record(rec);
     flight.record(rec);
-    ++spins;
     benchmark::DoNotOptimize(trace);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));

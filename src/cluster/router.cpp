@@ -139,9 +139,9 @@ bool Router::retryable_code(const std::string& code) noexcept {
 
 int Router::hedge_delay_ms() const {
   if (cfg_.hedge_ms <= 0) return 0;
-  const obs::QuantileSnapshot snap = e2e_us_.snapshot();
+  const obs::QuantileSnapshot snap = sketches_.snapshot(obs::Stage::kUpstream);
   if (snap.count() < 64) return cfg_.hedge_ms;
-  const int p95_ms = static_cast<int>(snap.quantile(0.95) / 1000);
+  const int p95_ms = static_cast<int>(snap.quantile(0.95) / 1'000'000);
   return std::min(cfg_.hedge_ms, std::max(1, p95_ms));
 }
 
@@ -240,11 +240,15 @@ Router::Attempt Router::forward_hedged(Upstream& a, Upstream& b,
 
 void Router::solve(std::istream& in, std::ostream& out,
                    const svc::SessionOptions& opts) {
+  obs::FlightRecord rec = svc::open_timeline(opts);
   std::string blob;
   if (!svc::read_solve_frame(in, out, opts, blob)) return;
+  rec.mark(obs::Stage::kRead, obs::steady_now_ns());
   svc::CanonKey key;
   try {
-    key = svc::canonicalize(tt::from_text(blob)).key;
+    const tt::Instance ins = tt::from_text(blob);
+    rec.mark(obs::Stage::kParse, obs::steady_now_ns());
+    key = svc::canonicalize(ins).key;
   } catch (const std::exception& e) {
     // Reject here rather than forwarding garbage: the verdict is
     // deterministic and the backends shouldn't pay for it.
@@ -266,7 +270,7 @@ void Router::solve(std::istream& in, std::ostream& out,
   }
   const std::size_t attempts = std::min(
       cands.size(), static_cast<std::size_t>(cfg_.retries) + 1);
-  const std::int64_t t0 = obs::steady_now_ns();
+  rec.mark(obs::Stage::kAdmit, obs::steady_now_ns());
   std::string last_typed;
   for (std::size_t i = 0; i < attempts; ++i) {
     Upstream& up = *upstreams_[cands[i]];
@@ -277,12 +281,13 @@ void Router::solve(std::istream& in, std::ostream& out,
       r = forward_once(up, frame);
     }
     if (r.kind == Attempt::Kind::kOk) {
-      // Count before relaying: a client that has seen the reply and then
-      // asks METRICS must see this request included.
+      // Count before relaying; the timeline is published after the write,
+      // so a METRICS on this session sees it.
       routed_.add(1);
-      e2e_us_.record(static_cast<std::uint64_t>(
-          (obs::steady_now_ns() - t0) / 1000));
+      rec.mark(obs::Stage::kUpstream, obs::steady_now_ns());
       out << r.reply << std::flush;
+      rec.mark(obs::Stage::kWrite, obs::steady_now_ns());
+      sketches_.record(rec);
       return;
     }
     if (r.kind == Attempt::Kind::kTypedErr) {
@@ -347,9 +352,7 @@ std::string Router::metrics_text() const {
   os << "# TYPE ttp_build_info gauge\n"
      << "ttp_build_info{role=\"router\"} 1\n";
   obs::write_prometheus(os, metrics_);
-  obs::write_prometheus_summary(os, "svc.latency.seconds", "stage=\"e2e\"",
-                                e2e_us_.snapshot(), 1e-6,
-                                /*with_type_header=*/true);
+  sketches_.write_prometheus(os);
   return os.str();
 }
 

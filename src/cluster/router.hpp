@@ -26,8 +26,8 @@
 //      routable, a first attempt that hasn't started replying within the
 //      hedge delay gets a racing duplicate on the next replica; the
 //      first complete reply wins, the loser is discarded. The delay
-//      adapts: min(--hedge-ms, observed p95) once 64 solves have been
-//      recorded.
+//      adapts: min(--hedge-ms, observed p95 of the upstream stage) once 64
+//      solves have been recorded.
 //   5. Exhaustion relays the last typed backend error if any arrived,
 //      else the router's own "ERR upstream ...".
 //
@@ -35,6 +35,11 @@
 // trace id pass through untouched, so a client cannot tell a router from
 // a single ttp_serve (and TRACE <id> still works: the router fans the
 // lookup out to the backends).
+//
+// Each SOLVE answered with a relayed OK reply records its timeline
+// (obs/flight.hpp) in the router's stage summaries: read, parse, admit
+// (canonicalize plus the ring walk), upstream (the forward loop, retries
+// and hedges included) and write, plus e2e, their sum.
 //
 // Counters (cluster.* in the router registry, visible via STATS/METRICS):
 //   cluster.routed       SOLVEs answered with a relayed backend reply
@@ -61,7 +66,7 @@
 #include "cluster/health.hpp"
 #include "cluster/ring.hpp"
 #include "cluster/upstream.hpp"
-#include "obs/quantiles.hpp"
+#include "obs/flight.hpp"
 #endif
 
 namespace ttp::cluster {
@@ -117,7 +122,8 @@ class Router final : public svc::SessionHost, public svc::CommandHandler {
   }
 
   /// Current hedge delay: 0 when disabled, else min(--hedge-ms, observed
-  /// p95 solve latency) once 64 samples exist (--hedge-ms before that).
+  /// p95 of the upstream stage) once 64 samples exist (--hedge-ms before
+  /// that).
   int hedge_delay_ms() const;
 
   // CommandHandler: one session's SOLVE/TRACE/STATS/METRICS/HEALTH.
@@ -163,7 +169,7 @@ class Router final : public svc::SessionHost, public svc::CommandHandler {
   std::unique_ptr<HealthProber> prober_;
   std::atomic<bool> draining_{false};
 
-  obs::ShardedQuantiles e2e_us_;  ///< Successful forwarded-solve latency.
+  obs::StageSketches sketches_{obs::kRouterStages};
 
   obs::Counter& routed_;
   obs::Counter& retried_;

@@ -172,15 +172,20 @@ void write_attrs_object(std::ostream& os, const SpanRecord& s) {
 
 }  // namespace
 
+void write_span_json(std::ostream& os, const SpanRecord& s) {
+  os << "{\"name\":\"" << json_escape(s.name) << "\",\"id\":" << s.id
+     << ",\"parent\":" << s.parent << ",\"depth\":" << s.depth
+     << ",\"tid\":" << s.tid << ",\"start_ns\":" << s.start_ns
+     << ",\"end_ns\":" << (s.open ? s.start_ns : s.end_ns)
+     << ",\"open\":" << (s.open ? "true" : "false") << ",\"args\":";
+  write_attrs_object(os, s);
+  os << '}';
+}
+
 void write_jsonl(std::ostream& os, const std::vector<SpanRecord>& spans) {
   for (const SpanRecord& s : spans) {
-    os << "{\"name\":\"" << json_escape(s.name) << "\",\"id\":" << s.id
-       << ",\"parent\":" << s.parent << ",\"depth\":" << s.depth
-       << ",\"tid\":" << s.tid << ",\"start_ns\":" << s.start_ns
-       << ",\"end_ns\":" << (s.open ? s.start_ns : s.end_ns)
-       << ",\"open\":" << (s.open ? "true" : "false") << ",\"args\":";
-    write_attrs_object(os, s);
-    os << "}\n";
+    write_span_json(os, s);
+    os << '\n';
   }
 }
 

@@ -23,6 +23,9 @@ void write_span_summary(std::ostream& os,
 /// One JSON object per line per span.
 void write_jsonl(std::ostream& os, const std::vector<SpanRecord>& spans);
 
+/// One span as the JSON object write_jsonl puts on each line.
+void write_span_json(std::ostream& os, const SpanRecord& s);
+
 /// Chrome trace_event JSON ("X" complete events, microsecond timestamps)
 /// wrapped in the {"traceEvents": [...]} object form. Step deltas and
 /// attributes ride in "args".

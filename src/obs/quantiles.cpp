@@ -2,10 +2,36 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
-#include <thread>
+#include <new>
+
+#ifndef _WIN32
+#include <sys/mman.h>
+#endif
 
 namespace ttp::obs {
+
+namespace {
+
+constexpr std::size_t kBucketBytes =
+    qdetail::kBucketCount * sizeof(std::uint64_t);
+
+/// Zero-filled memory whose pages become resident only when first written:
+/// an anonymous mapping where the platform has one, calloc elsewhere.
+std::uint64_t* map_zeroed() {
+#ifndef _WIN32
+  void* p = ::mmap(nullptr, kBucketBytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+#else
+  void* p = std::calloc(kBucketBytes, 1);
+  if (p == nullptr) throw std::bad_alloc();
+#endif
+  return static_cast<std::uint64_t*>(p);
+}
+
+}  // namespace
 
 QuantileSnapshot::QuantileSnapshot() {
   std::memset(buckets_, 0, sizeof(buckets_));
@@ -44,12 +70,22 @@ void QuantileSnapshot::merge(const QuantileSnapshot& other) noexcept {
 
 void QuantileSketch::merge_into(QuantileSnapshot& out) const noexcept {
   for (std::size_t b = 0; b < qdetail::kBucketCount; ++b) {
-    out.buckets_[b] += buckets_[b].load(std::memory_order_relaxed);
+    out.buckets_[b] += bucket(b).load(std::memory_order_relaxed);
   }
   out.count_ += count_.load(std::memory_order_relaxed);
   out.sum_ += sum_.load(std::memory_order_relaxed);
   out.min_ = std::min(out.min_, min_.load(std::memory_order_relaxed));
   out.max_ = std::max(out.max_, max_.load(std::memory_order_relaxed));
+}
+
+QuantileSketch::QuantileSketch() : buckets_(map_zeroed()) {}
+
+QuantileSketch::~QuantileSketch() {
+#ifndef _WIN32
+  ::munmap(buckets_, kBucketBytes);
+#else
+  std::free(buckets_);
+#endif
 }
 
 QuantileSnapshot QuantileSketch::snapshot() const {
@@ -59,7 +95,9 @@ QuantileSnapshot QuantileSketch::snapshot() const {
 }
 
 void QuantileSketch::reset() noexcept {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
+  for (std::size_t b = 0; b < qdetail::kBucketCount; ++b) {
+    bucket(b).store(0, std::memory_order_relaxed);
+  }
   count_.store(0, std::memory_order_relaxed);
   sum_.store(0, std::memory_order_relaxed);
   min_.store(std::numeric_limits<std::uint64_t>::max(),
@@ -68,10 +106,11 @@ void QuantileSketch::reset() noexcept {
 }
 
 QuantileSketch& ShardedQuantiles::shard_for_thread() noexcept {
-  // A stable per-thread index; hashing the thread id spreads consecutive
-  // pool workers across shards.
+  // A stable per-thread index, handed out in turn, so up to kShards
+  // concurrent threads never share a shard, as hashed thread ids often do.
+  static std::atomic<std::size_t> next{0};
   static thread_local const std::size_t idx =
-      std::hash<std::thread::id>{}(std::this_thread::get_id());
+      next.fetch_add(1, std::memory_order_relaxed);
   return shards_[idx % kShards];
 }
 

@@ -10,7 +10,10 @@
 // distribution (tests/test_quantiles.cpp pins this on randomized inputs).
 //
 // Memory is fixed: 64 + 58*64 buckets of one relaxed-atomic uint64 each
-// (~30 KiB). record() is lock-free (a handful of relaxed fetch_adds) and
+// (~30 KiB of address space). The buckets live in zero-filled pages that
+// become resident only when first written, so a latency sketch, which
+// touches a few hundred buckets, costs a page or two of RSS rather than
+// all eight. record() is lock-free (a handful of relaxed fetch_adds) and
 // snapshot()/merge are plain relaxed reads, so per-worker sketches can be
 // folded together on scrape without stopping writers. ShardedQuantiles
 // spreads writers over a small fixed set of sketches by thread to keep
@@ -95,15 +98,19 @@ class QuantileSnapshot {
 
 /// The live, writable sketch. record() is lock-free and wait-free;
 /// snapshot() reads concurrently with writers (relaxed — a scrape racing a
-/// record may miss it, never corrupt).
-class QuantileSketch {
+/// record may miss it, never corrupt). Cache-line aligned, so the shards of
+/// a ShardedQuantiles never share a line of counters.
+class alignas(64) QuantileSketch {
  public:
   /// Guaranteed bound on |estimate - value| / value for any recorded value.
   static constexpr double kMaxRelativeError =
       1.0 / static_cast<double>(2 * qdetail::kSubBuckets);
 
+  QuantileSketch();
+  ~QuantileSketch();
+
   void record(std::uint64_t v) noexcept {
-    buckets_[qdetail::bucket_of(v)].fetch_add(1, std::memory_order_relaxed);
+    bucket(qdetail::bucket_of(v)).fetch_add(1, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(v, std::memory_order_relaxed);
     update_min(v);
@@ -123,6 +130,9 @@ class QuantileSketch {
   void reset() noexcept;
 
  private:
+  std::atomic_ref<std::uint64_t> bucket(std::size_t b) const noexcept {
+    return std::atomic_ref<std::uint64_t>(buckets_[b]);
+  }
   void update_min(std::uint64_t v) noexcept {
     std::uint64_t cur = min_.load(std::memory_order_relaxed);
     while (v < cur &&
@@ -136,7 +146,7 @@ class QuantileSketch {
     }
   }
 
-  std::atomic<std::uint64_t> buckets_[qdetail::kBucketCount]{};
+  std::uint64_t* const buckets_;  ///< Pages resident once written.
   std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_{0};
   std::atomic<std::uint64_t> min_{std::numeric_limits<std::uint64_t>::max()};

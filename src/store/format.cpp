@@ -50,6 +50,12 @@ void append_segment_header(std::string& out) {
   put_u32(out, kEndianMarker);
 }
 
+ForeignVersion::ForeignVersion(std::uint32_t v)
+    : std::invalid_argument("segment header: unsupported format version " +
+                            std::to_string(v) + " (this build reads " +
+                            std::to_string(kFormatVersion) + ")"),
+      version(v) {}
+
 void check_segment_header(std::string_view file_bytes) {
   if (file_bytes.size() < kSegmentHeaderBytes) {
     throw std::invalid_argument("segment header: file shorter than header");
@@ -59,10 +65,7 @@ void check_segment_header(std::string_view file_bytes) {
     throw std::invalid_argument("segment header: bad magic");
   }
   const std::uint32_t version = get_u32(file_bytes.data() + 4);
-  if (version != kFormatVersion) {
-    throw std::invalid_argument("segment header: unsupported format version " +
-                                std::to_string(version));
-  }
+  if (version != kFormatVersion) throw ForeignVersion(version);
   if (get_u32(file_bytes.data() + 8) != kEndianMarker) {
     throw std::invalid_argument("segment header: foreign byte order");
   }

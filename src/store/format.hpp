@@ -18,6 +18,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 
@@ -73,8 +74,16 @@ struct Record {
 /// Appends the 12-byte segment header to `out`.
 void append_segment_header(std::string& out);
 
+/// check_segment_header's verdict on a segment whose header is intact but
+/// names another format version: an old (or newer) store, not a damaged
+/// one.
+struct ForeignVersion : std::invalid_argument {
+  explicit ForeignVersion(std::uint32_t v);
+  std::uint32_t version;
+};
+
 /// Validates a segment header; throws std::invalid_argument naming the
-/// defect (short, bad magic, unsupported version, foreign byte order).
+/// defect (short, bad magic, foreign byte order), or ForeignVersion.
 void check_segment_header(std::string_view file_bytes);
 
 /// Appends one framed record (length, CRC, body) to `out`.

@@ -1,7 +1,8 @@
 // ttp_store — offline tooling for durable procedure store directories.
 //
 //   ttp_store verify <dir>              read-only integrity scan; exit 0
-//                                       iff no corrupt records
+//                                       iff no corrupt records and no
+//                                       segment of another format version
 //   ttp_store stats <dir>               segment/record/byte counts
 //   ttp_store compact <dir> [--max-mb N] [--ttl-s N]
 //                                       run one compaction synchronously
@@ -16,6 +17,7 @@
 #include <string>
 
 #include "obs/metrics.hpp"
+#include "store/format.hpp"
 #include "store/store.hpp"
 
 namespace {
@@ -41,13 +43,20 @@ void print_report(const ttp::store::VerifyReport& rep) {
             << "records             " << rep.records << "\n"
             << "live_records        " << rep.live_records << "\n"
             << "corrupt             " << rep.corrupt << "\n"
+            << "foreign_version     " << rep.foreign_version << "\n"
             << "torn_tail_bytes     " << rep.torn_tail_bytes << "\n";
+  if (rep.foreign_version != 0) {
+    std::cout << "foreign_format      " << rep.foreign_format
+              << " (this build reads " << ttp::store::kFormatVersion << ")\n";
+  }
 }
 
 int cmd_verify(const std::string& dir) {
   const ttp::store::VerifyReport rep = ttp::store::verify_dir(dir);
   print_report(rep);
-  std::cout << (rep.ok ? "OK\n" : "CORRUPT\n");
+  std::cout << (rep.ok                 ? "OK\n"
+                 : rep.corrupt != 0    ? "CORRUPT\n"
+                                       : "FOREIGN-VERSION\n");
   return rep.ok ? 0 : 1;
 }
 

@@ -507,6 +507,11 @@ VerifyReport verify_dir(const std::string& dir) {
     rep.bytes += bytes.size();
     try {
       check_segment_header(bytes);
+    } catch (const ForeignVersion& e) {
+      ++rep.foreign_version;
+      rep.foreign_format = e.version;
+      rep.ok = false;
+      continue;
     } catch (const std::invalid_argument&) {
       if (youngest && bytes.size() < kSegmentHeaderBytes) {
         rep.torn_tail_bytes += bytes.size();

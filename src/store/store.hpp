@@ -186,9 +186,12 @@ struct VerifyReport {
   std::uint64_t records = 0;       ///< Valid records (including shadowed).
   std::uint64_t live_records = 0;  ///< Distinct keys, latest record wins.
   std::uint64_t corrupt = 0;       ///< CRC/decode failures mid-file.
+  /// Segments with an intact header of another format version (unread).
+  std::uint64_t foreign_version = 0;
+  std::uint32_t foreign_format = 0;  ///< The last such version seen.
   std::uint64_t torn_tail_bytes = 0;  ///< Incomplete frame at youngest tail.
   std::uint64_t bytes = 0;
-  bool ok = false;  ///< corrupt == 0 and headers well-formed.
+  bool ok = false;  ///< No corrupt or foreign-version segment.
 };
 VerifyReport verify_dir(const std::string& dir);
 

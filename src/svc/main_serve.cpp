@@ -26,8 +26,8 @@
 //   --max-queue=N        admission: queued-leader cap (1024)
 //   --max-batch=N        micro-batch size cap (32)
 //   --batch-delay-us=N   micro-batch gather window (200)
-//   --slow-ms=N          slow-request capture threshold; 0 = capture all,
-//                        unset = defer to TTP_SLOW_MS (off when unset)
+//   --slow-ms=N          slow-request capture threshold; 0 = capture all
+//                        (off when unset)
 //   --slow-log=PATH      slow-request JSONL destination (stderr)
 //   --flight-cap=N       flight-recorder ring size (4096)
 //   --max-conns=N        TCP session cap, then ERR overload (256)

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "obs/flight.hpp"
-#include "obs/trace.hpp"
 #include "tt/kernel.hpp"
 #include "tt/sizing.hpp"
 #include "tt/solver_frontier.hpp"
@@ -42,12 +41,16 @@ std::string_view status_name(Status s) noexcept {
   return "unknown";
 }
 
+std::string_view plan_name(Plan p) noexcept {
+  constexpr std::string_view kNames[] = {"none", "dense", "sparse", "fallback"};
+  return kNames[static_cast<std::size_t>(p)];
+}
+
 Scheduler::Scheduler(ProcedureCache& cache, SchedulerConfig cfg,
                      obs::MetricsRegistry& metrics, std::size_t workers)
     : cache_(cache),
       cfg_(cfg),
       solver_(workers, planner_from(cfg)),
-      metrics_(metrics),
       leaders_(metrics.counter("svc.sched.leaders")),
       followers_(metrics.counter("svc.sched.followers")),
       rejected_oversize_(metrics.counter("svc.sched.rejected_oversize")),
@@ -56,7 +59,15 @@ Scheduler::Scheduler(ProcedureCache& cache, SchedulerConfig cfg,
       batches_(metrics.counter("svc.solve.batches")),
       kernel_instances_(metrics.counter("svc.solve.kernel_instances")),
       batch_size_(metrics.histogram("svc.solve.batch_size")),
-      queue_depth_gauge_(metrics.gauge("svc.queue.depth")) {
+      queue_depth_gauge_(metrics.gauge("svc.queue.depth")),
+      frontier_instances_(metrics.counter("svc.solve.frontier.instances")),
+      frontier_states_(metrics.counter("svc.solve.frontier.states")),
+      frontier_fallback_(metrics.counter("svc.solve.frontier.fallback")) {
+  for (const tt::KernelVariant v :
+       {tt::KernelVariant::kScalar, tt::KernelVariant::kSimdAvx2}) {
+    variant_[static_cast<std::size_t>(v)] = &metrics.counter(
+        "svc.solve.variant." + std::string(tt::kernel_variant_name(v)));
+  }
   cfg_.max_batch = std::max<std::size_t>(cfg_.max_batch, 1);
   if (cfg_.autostart) start();
 }
@@ -187,8 +198,13 @@ void Scheduler::drain_loop() {
     cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
     if (stop_) return;  // stop() cancels whatever is still queued
     // Micro-batch window: hold the first miss for up to batch_delay so
-    // concurrent misses ride the same solve_many call.
-    const auto deadline = std::chrono::steady_clock::now() + cfg_.batch_delay;
+    // concurrent misses ride the same solve_many call. Its opening ends the
+    // queue stage of every entry this batch takes.
+    const std::int64_t window_ns = obs::steady_now_ns();
+    const auto deadline =
+        std::chrono::steady_clock::time_point(
+            std::chrono::nanoseconds(window_ns)) +
+        cfg_.batch_delay;
     cv_.wait_until(lock, deadline, [&] {
       return stop_ || queue_.size() >= cfg_.max_batch;
     });
@@ -201,17 +217,14 @@ void Scheduler::drain_loop() {
     }
     queue_depth_gauge_.set(static_cast<double>(queue_.size()));
     lock.unlock();
-    solve_batch(batch);
+    solve_batch(batch, window_ns);
     lock.lock();
   }
 }
 
-void Scheduler::solve_batch(std::deque<std::shared_ptr<Entry>>& batch) {
-  const std::int64_t drain_ns = obs::steady_now_ns();
+void Scheduler::solve_batch(std::deque<std::shared_ptr<Entry>>& batch,
+                            std::int64_t window_ns) {
   const std::uint32_t batch_seq = ++batch_seq_;
-  TTP_TRACE_SPAN(span, "svc.solve");
-  span.attr("batch", static_cast<std::uint64_t>(batch.size()));
-  span.attr("batch_seq", static_cast<std::uint64_t>(batch_seq));
   std::vector<const tt::Instance*> ptrs;
   std::vector<std::uint64_t> traces;
   ptrs.reserve(batch.size());
@@ -236,7 +249,7 @@ void Scheduler::solve_batch(std::deque<std::shared_ptr<Entry>>& batch) {
 
   std::vector<SolveOutcome> outcomes(batch.size());
   for (auto& o : outcomes) {
-    o.drain_ns = drain_ns;
+    o.drain_ns = window_ns;
     o.solve_start_ns = solve_start_ns;
     o.solve_end_ns = solve_end_ns;
     o.batch = static_cast<std::uint32_t>(batch.size());
@@ -246,31 +259,30 @@ void Scheduler::solve_batch(std::deque<std::shared_ptr<Entry>>& batch) {
     kernel_instances_.add(batch.size());
     // Frontier attribution: how many instances the sparse reachable-set
     // path served, how many closure states it touched doing so, and how
-    // often a budget-capped expansion fell back dense.
+    // often a budget-capped expansion fell back dense. The same breakdown
+    // gives each request its planner verdict.
     std::uint64_t fr_instances = 0, fr_states = 0, fr_fallback = 0;
-    for (auto& r : results) {
-      const std::uint64_t st = r.breakdown.counter("frontier_states").value();
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const tt::SolveResult& r = results[i];
+      const std::uint64_t st = r.breakdown.get("frontier_states");
+      const std::uint64_t fb = r.breakdown.get("frontier_fallback");
       if (st != 0) {
         ++fr_instances;
         fr_states += st;
       }
-      fr_fallback += r.breakdown.counter("frontier_fallback").value();
+      fr_fallback += fb;
+      outcomes[i].plan =
+          fb != 0 ? Plan::kFallback : st != 0 ? Plan::kSparse : Plan::kDense;
     }
     // Per-solve variant attribution: svc.solve.variant.{scalar,simd-avx2}
     // counts the dense-path instances, so STATS shows how much traffic each
     // dense kernel actually served (the active variant can change at
     // runtime). Frontier instances ran the scalar sparse wave, not it.
-    metrics_
-        .counter(std::string("svc.solve.variant.") +
-                 std::string(tt::active_kernel_variant_name()))
-        .add(batch.size() - fr_instances);
-    if (fr_instances != 0) {
-      metrics_.add("svc.solve.frontier.instances", fr_instances);
-      metrics_.add("svc.solve.frontier.states", fr_states);
-    }
-    if (fr_fallback != 0) {
-      metrics_.add("svc.solve.frontier.fallback", fr_fallback);
-    }
+    variant_[static_cast<std::size_t>(tt::active_kernel_variant())]->add(
+        batch.size() - fr_instances);
+    frontier_instances_.add(fr_instances);
+    frontier_states_.add(fr_states);
+    frontier_fallback_.add(fr_fallback);
     for (std::size_t i = 0; i < batch.size(); ++i) {
       auto proc = std::make_shared<CachedProcedure>();
       proc->tree = std::move(results[i].tree);

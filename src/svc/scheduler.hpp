@@ -28,6 +28,7 @@
 // before calling start().
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -63,20 +64,29 @@ inline constexpr std::size_t kStatusCount =
 
 std::string_view status_name(Status s) noexcept;
 
+/// The planner's verdict for one solved instance, read from its
+/// SolveResult breakdown: the dense sweep, the sparse frontier, or a
+/// sparse attempt whose closure overran its budget and fell back dense.
+enum class Plan : std::uint8_t { kNone = 0, kDense, kSparse, kFallback };
+
+std::string_view plan_name(Plan p) noexcept;
+
 /// What a waiter receives. `proc` is set exactly when status == kOk.
-/// The *_ns stamps (obs::steady_now_ns timebase) let each waiter compute
-/// its own per-stage latencies: queue wait ends at drain_ns, batch
-/// formation at solve_start_ns, the kernel at solve_end_ns. All zero for
-/// outcomes that never reached the drain thread (rejects, cancels).
+/// The *_ns stamps (obs::steady_now_ns timebase) end each waiter's queue,
+/// batch and solve stages: the queue ends when the drain thread opens the
+/// micro-batch window, the batch (window plus batch formation) when
+/// solve_many starts, the solve when it returns. All zero for outcomes
+/// that never reached the drain thread (rejects, cancels).
 struct SolveOutcome {
   Status status = Status::kCancelled;
   std::shared_ptr<const CachedProcedure> proc;
   std::string error;
-  std::int64_t drain_ns = 0;        ///< Entry left the queue.
+  std::int64_t drain_ns = 0;        ///< The micro-batch window opened.
   std::int64_t solve_start_ns = 0;  ///< solve_many began.
   std::int64_t solve_end_ns = 0;    ///< solve_many returned.
   std::uint32_t batch = 0;          ///< Instances in the solving batch.
   std::uint32_t batch_seq = 0;      ///< 1-based drain-batch ordinal.
+  Plan plan = Plan::kNone;          ///< Set when status == kOk.
 };
 
 struct SchedulerConfig {
@@ -157,16 +167,14 @@ class Scheduler {
 
   static Ticket ready_ticket(Status status, std::string error);
   void drain_loop();
-  void solve_batch(std::deque<std::shared_ptr<Entry>>& batch);
+  /// Solves one drained micro-batch whose window opened at `window_ns`.
+  void solve_batch(std::deque<std::shared_ptr<Entry>>& batch,
+                   std::int64_t window_ns);
 
   ProcedureCache& cache_;
   store::ProcedureStore* store_ = nullptr;  ///< Write-behind tier; optional.
   SchedulerConfig cfg_;
   tt::BatchSolver solver_;
-  /// For the per-solve kernel-variant counters: the variant can be re-pinned
-  /// at runtime (set_kernel_variant), so the counter name is looked up per
-  /// batch rather than bound once in the constructor.
-  obs::MetricsRegistry& metrics_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
@@ -188,6 +196,12 @@ class Scheduler {
   obs::Counter& kernel_instances_;
   obs::Histogram& batch_size_;
   obs::Gauge& queue_depth_gauge_;
+  /// svc.solve.variant.<name>, indexed by tt::KernelVariant: the variant
+  /// can be re-pinned at runtime, so each batch credits the active one.
+  std::array<obs::Counter*, 2> variant_{};
+  obs::Counter& frontier_instances_;
+  obs::Counter& frontier_states_;
+  obs::Counter& frontier_fallback_;
 };
 
 }  // namespace ttp::svc

@@ -189,11 +189,14 @@ bool FdStreamBuf::draining() const noexcept {
 
 void FdStreamBuf::on_boundary() {
   at_boundary_ = true;
+  const std::int64_t now = obs::steady_now_ns();
   deadline_ns_ = opts_.idle_timeout_ms > 0
-                     ? obs::steady_now_ns() +
-                           static_cast<std::int64_t>(opts_.idle_timeout_ms) *
-                               1'000'000
+                     ? now + static_cast<std::int64_t>(opts_.idle_timeout_ms) *
+                                 1'000'000
                      : 0;
+  // Idle time between commands never counts toward a request: the next
+  // command starts now only if its bytes are already here.
+  command_ns_ = gptr() < egptr() ? now : 0;
 }
 
 void FdStreamBuf::on_frame() {
@@ -264,6 +267,7 @@ std::streambuf::int_type FdStreamBuf::underflow() {
       return traits_type::eof();
     }
     if (pr == 0) continue;  // slice expired; recheck drain and deadline
+    if (at_boundary_ && command_ns_ == 0) command_ns_ = obs::steady_now_ns();
     const long n = inject_.read(fd_, rbuf_, sizeof(rbuf_));
     if (n < 0) {
       // EINTR is a retry, never EOF (the original streambuf dropped the

@@ -151,6 +151,7 @@ class FdStreamBuf final : public std::streambuf, public SessionControl {
   bool transport_aborted() override {
     return event_ == Event::kTimedOut || event_ == Event::kError;
   }
+  std::int64_t command_start_ns() override { return command_ns_; }
 
  protected:
   int_type underflow() override;
@@ -172,6 +173,9 @@ class FdStreamBuf final : public std::streambuf, public SessionControl {
   Event event_ = Event::kNone;
   bool at_boundary_ = true;
   std::int64_t deadline_ns_ = 0;  ///< 0 = no deadline armed.
+  /// The poll wake that brought the current command's first bytes, or the
+  /// command boundary when they were already buffered; 0 while idle.
+  std::int64_t command_ns_ = 0;
   char rbuf_[4096];
   char wbuf_[4096];
 };

@@ -1,13 +1,12 @@
 // The in-process serving facade: canon -> cache -> scheduler -> BatchSolver.
 //
 // Service is what an embedding server (or the ttp_serve daemon) holds one
-// of. A request flows through four stages, each wrapped in an obs span when
-// tracing is on and counted in the service's own always-on MetricsRegistry:
-//
-//   svc.canon   canonicalize the instance (sort/normalize/hash)
-//   svc.cache   sharded LRU lookup by canonical key
-//   svc.queue   singleflight join + micro-batch queue (misses only)
-//   svc.solve   BatchSolver::solve_many over the drained micro-batch
+// of. A request flows through canonicalization, the sharded LRU, the
+// durable store (when configured), and on a miss the singleflight
+// scheduler's micro-batched BatchSolver::solve_many. Its always-on
+// MetricsRegistry counts each step, and its timeline (obs::FlightRecord)
+// times each stage: Service marks admit, queue, batch, solve and respond;
+// the wire session (svc/wire.hpp) adds read, parse, format and write.
 //
 // Responses are translated back into the requester's coordinate system: the
 // cached tree's action indices are remapped through the canonicalization
@@ -29,7 +28,6 @@
 
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
-#include "obs/quantiles.hpp"
 #include "store/store.hpp"
 #include "svc/cache.hpp"
 #include "svc/canon.hpp"
@@ -50,12 +48,23 @@ enum class CacheOutcome {
 
 std::string_view cache_outcome_name(CacheOutcome o) noexcept;
 
+/// One field of a request timeline as TRACE and the slow log print it.
+struct TimelineField {
+  std::string key;
+  std::string value;
+  bool quoted;  ///< A string in the slow log's JSON.
+};
+
+/// A timeline's fields in print order: identity, planner verdict, batch
+/// lineage, then `<stage>_us` for each of ttp_serve's stages and e2e_us,
+/// to the nanosecond.
+std::vector<TimelineField> timeline_fields(const obs::FlightRecord& rec);
+
 /// Request-scoped telemetry knobs (the tentpole's serving-side config).
 struct TelemetryConfig {
   /// Slow-request capture threshold in milliseconds: a request whose e2e
-  /// latency reaches this dumps its flight record + span tree as one JSONL
-  /// line. 0 captures everything; -1 defers to the TTP_SLOW_MS environment
-  /// variable (unset -> capture disabled).
+  /// latency reaches this dumps its timeline + span tree as one JSONL
+  /// line. 0 captures everything; -1 turns capture off.
   int slow_ms = -1;
   /// Where slow-request JSONL lines go; empty = stderr.
   std::string slow_log;
@@ -97,44 +106,52 @@ class Service {
 
   /// A submitted request. get() blocks until the solve (if any) completes
   /// and builds the requester-coordinate Response; ready() never blocks.
-  /// get() also finalizes the request's telemetry (per-stage sketches,
-  /// flight record, slow capture), so a Pending must not outlive its
-  /// Service, and telemetry for an abandoned Pending is recorded at
-  /// whatever point get() first runs (or never, if it never does).
+  /// get() also publishes the request's timeline (stage sketches, flight
+  /// record, slow capture), so a Pending must not outlive its Service, and
+  /// an abandoned Pending publishes at whatever point get() first runs (or
+  /// never, if it never does).
   class Pending {
    public:
     Response get();
     bool ready() const;
 
     /// The trace ID minted for this request at admission.
-    std::uint64_t trace() const noexcept { return trace_; }
+    std::uint64_t trace() const noexcept { return rec_.trace; }
 
    private:
     friend class Service;
-    Response resolved_;           // rejections/hits/errors resolve inline
+    /// Builds the Response and ends the respond stage.
+    void resolve(Response r);
+
+    Service* svc_ = nullptr;
+    Response resolved_;  // rejections/hits/errors resolve inline
     bool is_resolved_ = false;
+    bool publish_ = true;  ///< get() publishes the timeline.
     std::shared_future<SolveOutcome> future_;
     std::vector<int> to_original_;
     double weight_scale_ = 1.0;
     CacheOutcome cache_ = CacheOutcome::kNone;
-    // Telemetry context carried from submit() into get()'s finalize.
-    Service* svc_ = nullptr;
-    std::uint64_t trace_ = 0;
-    std::uint64_t leader_trace_ = 0;  ///< Nonzero only for followers.
-    CanonKey key_{};
-    std::int64_t t0_ns_ = 0;       ///< Admission stamp (steady_now_ns).
-    std::uint32_t admit_us_ = 0;   ///< Canonicalize + cache lookup.
-    std::uint16_t k_ = 0;
-    std::uint16_t actions_ = 0;
+    obs::FlightRecord rec_;  ///< The request's timeline.
   };
 
   /// Canonicalize + cache lookup + (on miss) enqueue. Never blocks on the
-  /// solve; malformed instances resolve to Status::kError.
+  /// solve; malformed instances resolve to Status::kError. The timeline
+  /// opens here, at admit.
   Pending submit(const tt::Instance& ins);
 
   /// submit().get(), counted in svc.responses.<status> (the e2e stage
   /// sketch already holds its latency).
   Response solve(const tt::Instance& ins);
+
+  /// The wire session's solve: `timeline` arrives open, with read and parse
+  /// marked, and returns with admit through respond marked. Counts
+  /// svc.responses.<status> but publishes nothing: the session marks
+  /// format and write once the reply is flushed, then calls publish().
+  Response solve(const tt::Instance& ins, obs::FlightRecord& timeline);
+
+  /// Publishes a finished timeline: the stage sketches, the flight ring,
+  /// and (past the slow threshold) the slow log.
+  void publish(const obs::FlightRecord& timeline);
 
   obs::MetricsRegistry& metrics() noexcept { return metrics_; }
   const obs::MetricsRegistry& metrics() const noexcept { return metrics_; }
@@ -149,8 +166,8 @@ class Service {
 
   /// Prometheus text exposition: registry counters/gauges/histograms plus
   /// the per-stage latency summary family ttp_svc_latency_seconds
-  /// {stage="admit|queue|batch|solve|respond|e2e"} (the daemon's METRICS
-  /// payload).
+  /// {stage=...}, one label per obs::kServeStages stage and e2e (the
+  /// daemon's METRICS payload).
   std::string metrics_text() const;
 
   /// Liveness/pressure report (the daemon's HEALTH payload): first line is
@@ -168,43 +185,23 @@ class Service {
     return draining_.load(std::memory_order_relaxed);
   }
 
-  /// Effective slow-capture threshold in ms (-1 = disabled) after
-  /// resolving TelemetryConfig::slow_ms against TTP_SLOW_MS.
+  /// Slow-capture threshold in ms (-1 = disabled).
   int slow_threshold_ms() const noexcept { return slow_ms_; }
 
  private:
-  /// Index into stage_sketches_ / the Prometheus stage label set.
-  enum Stage : std::size_t {
-    kAdmit = 0,
-    kQueue,
-    kBatch,
-    kSolve,
-    kRespond,
-    kE2e,
-    kStageCount
-  };
-  static const char* stage_name(std::size_t s) noexcept;
+  /// Admission for both submit paths; `timeline` is already open.
+  Pending admit(const tt::Instance& ins, const obs::FlightRecord& timeline);
 
   static Response from_outcome(const SolveOutcome& outcome,
                                const std::vector<int>& to_original,
                                double weight_scale, CacheOutcome cache);
 
-  /// Resolves a Pending inline from an already-available procedure (LRU hit
-  /// or durable-store hit) and emits its flight record.
-  void resolve_cached(Pending& p,
-                      std::shared_ptr<const CachedProcedure> proc,
-                      CacheOutcome outcome);
-
-  /// One exit point for every request: fills the flight record's stage
-  /// fields into the sketches, publishes the record, and (when the request
-  /// is slow and capture is on) dumps record + span tree as JSONL.
-  void finalize(const obs::FlightRecord& rec);
   void write_slow_capture(const obs::FlightRecord& rec);
 
   obs::MetricsRegistry metrics_;
   std::atomic<bool> draining_{false};
   obs::FlightRecorder flight_;
-  obs::ShardedQuantiles stage_sketches_[kStageCount];  ///< Microseconds.
+  obs::StageSketches sketches_{obs::kServeStages};
   int slow_ms_ = -1;
   std::string slow_log_path_;
   std::mutex slow_log_mu_;  ///< Serializes JSONL lines across requests.

@@ -1,10 +1,12 @@
 #include "svc/wire.hpp"
 
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 
+#include "obs/flight.hpp"
 #include "obs/trace.hpp"
 #include "tt/serialize.hpp"
 #include "util/bits.hpp"
@@ -52,29 +54,38 @@ class ServiceCommands final : public CommandHandler {
 
 void ServiceCommands::solve(std::istream& in, std::ostream& out,
                             const SessionOptions& opts) {
+  obs::FlightRecord rec = open_timeline(opts);
   std::string blob;
   if (!read_solve_frame(in, out, opts, blob)) return;
-  Response res;
+  rec.mark(obs::Stage::kRead, obs::steady_now_ns());
+  std::optional<tt::Instance> ins;
   try {
-    res = svc_.solve(tt::from_text(blob));
+    ins.emplace(tt::from_text(blob));
   } catch (const std::exception& e) {
     write_err(out, "bad-request", e.what());
     return;
   }
-  if (!res.ok()) {
-    write_err(out, err_code(res.status), res.error);
-    return;
+  rec.mark(obs::Stage::kParse, obs::steady_now_ns());
+  const Response res = svc_.solve(*ins, rec);
+  std::string reply;
+  if (res.ok()) {
+    std::ostringstream os;
+    os.precision(17);
+    os << "OK cache=" << cache_outcome_name(res.cache) << " cost=" << res.cost
+       << " nodes=" << res.tree.size()
+       << " trace=" << obs::trace_hex(res.trace) << '\n'
+       << tree_to_wire(res.tree) << "END\n";
+    reply = os.str();
+  } else {
+    reply = err_line(err_code(res.status), res.error);
   }
-  std::ostringstream reply;
-  reply.precision(17);
-  reply << "OK cache=" << cache_outcome_name(res.cache) << " cost=" << res.cost
-        << " nodes=" << res.tree.size()
-        << " trace=" << obs::trace_hex(res.trace) << '\n'
-        << tree_to_wire(res.tree) << "END\n";
-  out << reply.str() << std::flush;
+  rec.mark(obs::Stage::kFormat, obs::steady_now_ns());
+  out << reply << std::flush;
+  rec.mark(obs::Stage::kWrite, obs::steady_now_ns());
+  svc_.publish(rec);
 }
 
-/// TRACE <id>: replay one request's flight record from the ring.
+/// TRACE <id>: replay one request's timeline from the ring.
 void ServiceCommands::trace(const std::string& arg, std::ostream& out) {
   const std::uint64_t id = obs::trace_from_hex(arg);
   if (id == 0) {
@@ -89,41 +100,35 @@ void ServiceCommands::trace(const std::string& arg, std::ostream& out) {
                   " most recent requests)");
     return;
   }
-  std::ostringstream reply;
-  reply << "TRACE\n"
-        << "trace: " << obs::trace_hex(rec->trace) << '\n';
-  if (rec->leader != 0) {
-    reply << "leader: " << obs::trace_hex(rec->leader) << '\n';
+  std::string reply = "TRACE\n";
+  for (const TimelineField& f : timeline_fields(*rec)) {
+    reply += f.key + ": " + f.value + "\n";
   }
-  reply << "key: " << obs::trace_hex(rec->key_hi)
-        << obs::trace_hex(rec->key_lo) << '\n'
-        << "outcome: "
-        << cache_outcome_name(static_cast<CacheOutcome>(rec->outcome)) << '\n'
-        << "status: " << status_name(static_cast<Status>(rec->status)) << '\n'
-        << "k: " << rec->k << '\n'
-        << "actions: " << rec->actions << '\n'
-        << "batch: " << rec->batch << '\n'
-        << "batch_seq: " << rec->batch_seq << '\n'
-        << "admit_us: " << rec->admit_us << '\n'
-        << "queue_us: " << rec->queue_us << '\n'
-        << "batch_us: " << rec->batch_us << '\n'
-        << "solve_us: " << rec->solve_us << '\n'
-        << "respond_us: " << rec->respond_us << '\n'
-        << "e2e_us: " << rec->e2e_us << '\n'
-        << "END\n";
-  out << reply.str() << std::flush;
+  out << reply << "END\n" << std::flush;
 }
 
 }  // namespace
 
+std::string err_line(std::string_view code, const std::string& message) {
+  // Newline-framed protocol: the message must stay on one line.
+  std::string line = "ERR ";
+  line += code;
+  line += ' ';
+  for (const char c : message) line += c == '\n' || c == '\r' ? ' ' : c;
+  line += '\n';
+  return line;
+}
+
 void write_err(std::ostream& out, std::string_view code,
                const std::string& message) {
-  // Newline-framed protocol: the message must stay on one line.
-  std::string flat = message;
-  for (char& c : flat) {
-    if (c == '\n' || c == '\r') c = ' ';
-  }
-  out << "ERR " << code << ' ' << flat << '\n' << std::flush;
+  out << err_line(code, message) << std::flush;
+}
+
+obs::FlightRecord open_timeline(const SessionOptions& opts) {
+  obs::FlightRecord rec;
+  if (opts.control != nullptr) rec.start_ns = opts.control->command_start_ns();
+  if (rec.start_ns == 0) rec.start_ns = obs::steady_now_ns();
+  return rec;
 }
 
 bool read_solve_frame(std::istream& in, std::ostream& out,

@@ -44,6 +44,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 
@@ -73,6 +74,10 @@ class SessionControl {
   /// skips the "ERR bad-request ... not terminated" reply so the
   /// transport's own verdict ("ERR timeout ...") is the one terminal line.
   virtual bool transport_aborted() { return false; }
+  /// When the current command's first bytes reached the transport
+  /// (obs::steady_now_ns), where a request timeline's read stage starts;
+  /// 0 when the transport cannot tell.
+  virtual std::int64_t command_start_ns() { return 0; }
 };
 
 /// Per-session knobs, defaulted for embedders and tests.
@@ -108,11 +113,18 @@ std::string tree_to_wire(const tt::Tree& tree);
 /// Round-trips structurally (used by client-side tests).
 tt::Tree tree_from_wire(const std::string& text);
 
-/// Writes a one-line typed error reply: "ERR <code> <message>\n" (flushed;
-/// newlines in the message flattened to spaces so the framing holds).
-/// Shared with the cluster router, which speaks the same reply grammar.
+/// A one-line typed error reply: "ERR <code> <message>\n", newlines in the
+/// message flattened to spaces so the framing holds.
+std::string err_line(std::string_view code, const std::string& message);
+
+/// Writes err_line(code, message), flushed. Shared with the cluster
+/// router, which speaks the same reply grammar.
 void write_err(std::ostream& out, std::string_view code,
                const std::string& message);
+
+/// Opens a SOLVE's timeline where its read stage starts: when the transport
+/// saw the command's first bytes, or now when it cannot tell (stdio).
+obs::FlightRecord open_timeline(const SessionOptions& opts);
 
 /// Reads a SOLVE frame body (the lines after the "SOLVE" command, up to
 /// END) into `blob`, enforcing opts.max_frame_bytes with the early

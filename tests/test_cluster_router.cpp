@@ -481,6 +481,47 @@ TEST(SvcRouter, ExposesClusterCountersAndRingState) {
   EXPECT_EQ(rh.stop(), 0);
 }
 
+TEST(SvcRouter, MetricsCarryTheRouterTimelineStages) {
+  Backend b1, b2;
+  RouterHarness rh({b1.address(), b2.address()}, fast_cfg());
+  // One session: each SOLVE's timeline is published before the session
+  // reads its next command, so the METRICS below sees all three.
+  WireClient c("127.0.0.1", rh.port());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(c.send(solve_frame(make_instance(i))));
+    ASSERT_EQ(c.read_line().rfind("OK ", 0), 0u);
+    std::vector<std::string> tree;
+    ASSERT_TRUE(c.read_until("END", tree, 5000));
+  }
+  ASSERT_TRUE(c.send("METRICS\n"));
+  EXPECT_EQ(c.read_line(), "METRICS");
+  std::vector<std::string> metrics;
+  ASSERT_TRUE(c.read_until("END", metrics, 5000));
+  const auto sample = [&](const std::string& name) {
+    for (const auto& l : metrics) {
+      if (l.rfind(name + " ", 0) == 0) return std::stod(l.substr(name.size()));
+    }
+    ADD_FAILURE() << "METRICS lacks " << name;
+    return -1.0;
+  };
+  double stages_s = 0;
+  for (const char* stage : {"read", "parse", "admit", "upstream", "write"}) {
+    const std::string label = std::string("{stage=\"") + stage + "\"}";
+    EXPECT_EQ(sample("ttp_svc_latency_seconds_count" + label), 3.0) << stage;
+    const double sum = sample("ttp_svc_latency_seconds_sum" + label);
+    EXPECT_GT(sum, 0.0) << stage;
+    stages_s += sum;
+  }
+  EXPECT_EQ(sample("ttp_svc_latency_seconds_count{stage=\"e2e\"}"), 3.0);
+  // e2e is read to write: the stages partition it.
+  const double e2e_s = sample("ttp_svc_latency_seconds_sum{stage=\"e2e\"}");
+  EXPECT_NEAR(stages_s, e2e_s, 1e-9 + 1e-9 * e2e_s);
+  for (const auto& l : metrics) {
+    EXPECT_EQ(l.find("stage=\"queue\""), std::string::npos) << l;
+  }
+  EXPECT_EQ(rh.stop(), 0);
+}
+
 TEST(SvcRouter, TraceLookupsFanOutToBackends) {
   Backend b1, b2;
   RouterHarness rh({b1.address(), b2.address()}, fast_cfg());

@@ -398,6 +398,39 @@ TEST(Store, VerifyDirReportsLiveAndCorrupt) {
   EXPECT_GE(rep.corrupt, 1u);
 }
 
+TEST(Store, VerifyDirNamesAForeignFormatVersion) {
+  TempDir tmp;
+  {
+    obs::MetricsRegistry m;
+    ProcedureStore store(test_config(tmp.path), m);
+    ASSERT_TRUE(store.put(StoreKey{1, 1}, 1.0, solved_tree(5, 23)));
+  }
+  // Rewrite the header as a version-1 writer left it: intact magic and
+  // byte order, another format version.
+  for (const auto& e : std::filesystem::directory_iterator(tmp.path)) {
+    std::fstream f(e.path(), std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(4);
+    const char v1[4] = {1, 0, 0, 0};
+    f.write(v1, 4);
+  }
+  std::string header;
+  append_segment_header(header);
+  header[4] = char(1);
+  try {
+    check_segment_header(header);
+    ADD_FAILURE() << "version 1 accepted";
+  } catch (const ForeignVersion& e) {
+    EXPECT_EQ(e.version, 1u);
+    EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos);
+  }
+  const VerifyReport rep = verify_dir(tmp.path);
+  EXPECT_FALSE(rep.ok);
+  EXPECT_EQ(rep.foreign_version, 1u);
+  EXPECT_EQ(rep.foreign_format, 1u);
+  EXPECT_EQ(rep.corrupt, 0u) << "an old store is not a damaged one";
+  EXPECT_EQ(rep.records, 0u);
+}
+
 TEST(Store, SyncModeParses) {
   StoreConfig::Sync s{};
   EXPECT_TRUE(parse_sync_mode("none", s));

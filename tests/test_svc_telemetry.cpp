@@ -1,8 +1,9 @@
 // Request-scoped telemetry, end to end: trace IDs on the wire and through
-// the scheduler, TRACE <id> replay from the flight recorder, METRICS
-// Prometheus exposition (with quantile accuracy pinned against exact
-// latencies), HEALTH, and slow-request capture. Suites are Svc-prefixed so
-// the TSan CI job's --gtest_filter picks them up.
+// the scheduler, TRACE <id> replay of request timelines from the flight
+// recorder (stages that partition e2e, over stdio and TCP sessions),
+// METRICS Prometheus exposition (with quantile accuracy pinned against
+// exact latencies), HEALTH, and slow-request capture. Suites are
+// Svc-prefixed so the TSan CI job's --gtest_filter picks them up.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,10 +15,14 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
+#include "obs/flight.hpp"
 #include "obs/trace.hpp"
+#include "svc/client.hpp"
+#include "svc/server.hpp"
 #include "svc/service.hpp"
 #include "svc/wire.hpp"
 #include "tt/generator.hpp"
@@ -63,6 +68,43 @@ std::vector<Instance> distinct_instances(int n, int k = 5) {
   opt.num_treatments = 4;
   for (int i = 0; i < n; ++i) out.push_back(tt::random_instance(k, opt, rng));
   return out;
+}
+
+/// "key: value" lines of a TRACE reply.
+std::map<std::string, std::string> kv_of(const std::vector<std::string>& lines) {
+  std::map<std::string, std::string> kv;
+  for (const auto& line : lines) {
+    const std::size_t colon = line.find(": ");
+    if (colon != std::string::npos) {
+      kv[line.substr(0, colon)] = line.substr(colon + 2);
+    }
+  }
+  return kv;
+}
+
+/// A printed "<us>.<ns3>" stage value back in nanoseconds.
+std::uint64_t printed_ns(const std::string& us) {
+  const std::size_t dot = us.find('.');
+  EXPECT_NE(dot, std::string::npos) << us;
+  EXPECT_EQ(us.size() - dot, 4u) << "three decimals: " << us;
+  return std::stoull(us.substr(0, dot)) * 1000 + std::stoull(us.substr(dot + 1));
+}
+
+std::uint64_t stage_of(std::map<std::string, std::string>& kv,
+                       std::string_view stage) {
+  const std::string key = std::string(stage) + "_us";
+  EXPECT_NE(kv.find(key), kv.end()) << key;
+  return printed_ns(kv[key]);
+}
+
+/// Every stage TRACE prints adds up, to the printed nanosecond, to e2e.
+void expect_partition(std::map<std::string, std::string>& kv) {
+  std::uint64_t sum = 0;
+  for (std::size_t s = 0; s < obs::kStageCount; ++s) {
+    const auto it = kv.find(std::string(obs::kStageNames[s]) + "_us");
+    if (it != kv.end()) sum += printed_ns(it->second);
+  }
+  EXPECT_EQ(sum, stage_of(kv, obs::kE2eName));
 }
 
 /// Finds the first reply line starting with `prefix` at or after `from`.
@@ -277,7 +319,7 @@ TEST(SvcTelemetry, StageQuantilesWithinOnePercentOfExactLatencies) {
   }
   std::vector<std::uint64_t> exact;
   for (const auto& rec : svc.flight().snapshot()) {
-    exact.push_back(rec.e2e_us);
+    exact.push_back(rec.e2e_ns());
   }
   ASSERT_EQ(exact.size(), 48u);
   std::sort(exact.begin(), exact.end());
@@ -293,14 +335,14 @@ TEST(SvcTelemetry, StageQuantilesWithinOnePercentOfExactLatencies) {
     ASSERT_NE(pos, std::string::npos) << needle;
     const double est_s = std::strtod(reply.c_str() + pos + needle.size(),
                                      nullptr);
-    const double est_us = est_s * 1e6;
+    const double est_ns = est_s * 1e9;
     std::uint64_t rank = static_cast<std::uint64_t>(
         std::ceil(q * static_cast<double>(exact.size())));
     if (rank < 1) rank = 1;
     const double truth = static_cast<double>(exact[rank - 1]);
     ASSERT_GT(truth, 0.0);
-    EXPECT_LE(std::abs(est_us - truth) / truth, 0.01)
-        << "q=" << qs << " exact=" << truth << "us est=" << est_us << "us";
+    EXPECT_LE(std::abs(est_ns - truth) / truth, 0.01)
+        << "q=" << qs << " exact=" << truth << "ns est=" << est_ns << "ns";
   }
 }
 
@@ -384,14 +426,16 @@ TEST(SvcTelemetry, SlowCaptureIncludesSpanTreeWhenTracingOn) {
   ASSERT_TRUE(in.is_open());
   std::string line;
   ASSERT_TRUE(std::getline(in, line));
-  // The span dump names the stages the request crossed, kernel included.
-  EXPECT_NE(line.find("\"name\":\"svc.request\""), std::string::npos);
+  // The span dump carries the kernel spans bound to the request's trace;
+  // the stages themselves live on the timeline, not in svc.* spans.
   EXPECT_NE(line.find("\"name\":\"solve.batch\""), std::string::npos);
+  EXPECT_EQ(line.find("\"name\":\"svc."), std::string::npos);
+  EXPECT_NE(line.find("\"admit_us\":"), std::string::npos);
   std::remove(log.c_str());
 }
 
 TEST(SvcTelemetry, SlowCaptureDisabledByDefault) {
-  Service svc;  // no slow_ms, no TTP_SLOW_MS in the test environment
+  Service svc;  // slow_ms defaults to -1: capture off
   EXPECT_EQ(svc.slow_threshold_ms(), -1);
   ASSERT_TRUE(svc.solve(tt::fig1_example()).ok());
   EXPECT_EQ(svc.metrics().get("svc.slow_requests"), 0u);
@@ -412,6 +456,132 @@ TEST(SvcTelemetry, ResponsesCarryTraceThroughEveryPath) {
   // Both are in the flight recorder regardless of outcome.
   EXPECT_TRUE(svc.flight().find(ok.trace).has_value());
   EXPECT_TRUE(svc.flight().find(rejected.trace).has_value());
+}
+
+
+// --- the request timeline ----------------------------------------------------
+
+/// The wire stages a SOLVE crosses on top of Service's own.
+void expect_wire_stages(std::map<std::string, std::string>& kv) {
+  for (const char* stage : {"read", "parse", "format", "write"}) {
+    EXPECT_GT(stage_of(kv, stage), 0u) << stage;
+  }
+  expect_partition(kv);
+}
+
+TEST(SvcTelemetry, StdioSessionTimelinePartitionsEndToEnd) {
+  Service svc;
+  const Instance ins = tt::fig1_example();
+  // One session: the TRACE right after the SOLVE must find it.
+  std::istringstream in(solve_frame(ins));
+  std::ostringstream out;
+  serve_session(svc, in, out);
+  const auto lines = lines_of(out.str());
+  const std::size_t ok = line_at(lines, "OK ");
+  ASSERT_LT(ok, lines.size());
+  auto kv = kv_of(lines_of(session(svc, "TRACE " + trace_of(lines[ok]) + "\n")));
+  EXPECT_EQ(kv["outcome"], "miss");
+  EXPECT_EQ(kv["plan"], "dense");
+  expect_wire_stages(kv);
+  EXPECT_GT(stage_of(kv, "solve"), 0u);
+}
+
+TEST(SvcTelemetry, TcpSessionTimelinePartitionsEndToEnd) {
+  Service svc;
+  ServerConfig scfg;
+  Server server(svc, scfg);
+  std::string error;
+  ASSERT_TRUE(server.listen(error)) << error;
+  std::thread runner([&] { server.run(); });
+  {
+    WireClient c("127.0.0.1", server.port());
+    const Instance ins = tt::fig1_example();
+    for (const char* outcome : {"miss", "hit"}) {
+      ASSERT_TRUE(c.send(solve_frame(ins)));
+      const std::string head = c.read_line();
+      ASSERT_EQ(head.rfind("OK cache=", 0), 0u) << head;
+      c.read_until("END");
+      // Same session: the timeline was published before this TRACE was read.
+      ASSERT_TRUE(c.send("TRACE " + trace_of(head) + "\n"));
+      ASSERT_EQ(c.read_line(), "TRACE");
+      auto kv = kv_of(c.read_until("END"));
+      EXPECT_EQ(kv["outcome"], outcome);
+      expect_wire_stages(kv);
+    }
+  }
+  server.begin_drain();
+  runner.join();
+  // The daemon's METRICS carry the wire stages.
+  const std::string metrics = svc.metrics_text();
+  for (const char* stage : {"read", "parse", "format", "write", "e2e"}) {
+    EXPECT_NE(metrics.find(std::string("ttp_svc_latency_seconds_count{stage=\"") +
+                           stage + "\"} 2"),
+              std::string::npos)
+        << stage;
+  }
+}
+
+TEST(SvcTelemetry, WarmHitRespondStageIsVisible) {
+  Service svc;
+  const Instance ins = tt::fig1_example();
+  ASSERT_TRUE(svc.solve(ins).ok());
+  const Response hit = svc.solve(ins);
+  ASSERT_EQ(hit.cache, CacheOutcome::kHit);
+  auto kv = kv_of(lines_of(session(svc, "TRACE " + obs::trace_hex(hit.trace) + "\n")));
+  // The remap takes well under a microsecond; nanosecond stages show it.
+  EXPECT_GT(stage_of(kv, "respond"), 0u);
+  EXPECT_EQ(kv["plan"], "none");
+  for (const char* stage : {"read", "parse", "queue", "batch", "solve",
+                            "format", "write"}) {
+    EXPECT_EQ(stage_of(kv, stage), 0u) << stage << ": not crossed in-process";
+  }
+  expect_partition(kv);
+}
+
+TEST(SvcTelemetry, FollowerJoinedMidSolvePartitionsEndToEnd) {
+  // A follower that joins after solve_many started: the window and the
+  // solve's start predate its admission, so its queue and batch read 0
+  // and the stages still add up to its e2e. A medical instance reaches
+  // its whole lattice, so the solve takes milliseconds; larger k until it
+  // outlasts the join.
+  ServiceConfig cfg;
+  cfg.scheduler.batch_delay = std::chrono::microseconds(0);
+  Service svc(cfg);
+  for (int k = 14; k <= 18; k += 2) {
+    util::Rng rng(static_cast<std::uint64_t>(k));
+    const Instance ins = tt::medical_instance(k, 8, rng);
+    Service::Pending leader = svc.submit(ins);
+    // The drain thread took the leader: solve_many starts right after.
+    while (svc.scheduler().queue_depth() != 0) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    Service::Pending follower = svc.submit(ins);
+    const Response f = follower.get();
+    ASSERT_TRUE(leader.get().ok());
+    ASSERT_TRUE(f.ok());
+    if (f.cache != CacheOutcome::kInflight) continue;  // solve already done
+    auto kv = kv_of(lines_of(session(svc, "TRACE " + obs::trace_hex(f.trace) + "\n")));
+    EXPECT_EQ(kv["leader"], obs::trace_hex(leader.trace()));
+    EXPECT_EQ(stage_of(kv, "queue"), 0u);
+    EXPECT_EQ(stage_of(kv, "batch"), 0u);
+    EXPECT_GT(stage_of(kv, "solve"), 0u);
+    expect_partition(kv);
+    return;
+  }
+  FAIL() << "no follower joined an in-flight solve";
+}
+
+TEST(SvcTelemetry, BatchStageHoldsTheMicroBatchWindow) {
+  ServiceConfig cfg;
+  cfg.scheduler.batch_delay = std::chrono::milliseconds(20);
+  Service svc(cfg);
+  const Response miss = svc.solve(tt::fig1_example());
+  ASSERT_EQ(miss.cache, CacheOutcome::kMiss);
+  auto kv = kv_of(lines_of(session(svc, "TRACE " + obs::trace_hex(miss.trace) + "\n")));
+  // The window belongs to batch, not queue: the drain thread opens it the
+  // moment the miss arrives.
+  EXPECT_GE(stage_of(kv, "batch"), 20'000'000u);
+  EXPECT_LT(stage_of(kv, "queue"), 20'000'000u);
+  expect_partition(kv);
 }
 
 }  // namespace
