@@ -17,6 +17,10 @@
 //   k, N          state.counters["k"] / ["N"] (0 when a bench doesn't set
 //                 them)
 //   variant       state.SetLabel(...) — the kernel variant the run forced
+//   family        the instance family, for benches that label runs with
+//                 label(state, variant, family); omitted otherwise
+//   reachable     state.counters["reachable"] — the reachable closure size
+//                 of the run's instance; omitted when a bench doesn't set it
 //   ns_per_solve  real wall time per iteration in nanoseconds
 //   items_per_sec state.SetItemsProcessed rate (0 when unused)
 //   kernel        the active kernel variant at emission time — records
@@ -26,9 +30,10 @@
 //                 TTP_TRACE value; "off" when unset) — numbers taken with
 //                 tracing on are not comparable to numbers taken with it
 //                 off, and the stamp keeps them from being silently mixed
+//   host          CPU model, logical CPU count and compiler of the run
 //
-// kernel and obs are provenance stamps: tools/bench_compare.py keys on
-// (bench, args, k, N, variant) and ignores them.
+// kernel, obs and host are provenance stamps: tools/bench_compare.py keys
+// on (bench, args, k, N, variant) and ignores them.
 //
 // Aggregate runs (--benchmark_repetitions aggregates) are skipped: records
 // hold raw per-run numbers, and tools/bench_compare.py does the judging.
@@ -41,6 +46,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <vector>
 
 #include "tt/kernel.hpp"
@@ -54,6 +61,45 @@ inline std::string obs_mode() {
                                           : std::string(env);
 }
 
+/// "<CPU model>, <n> cpus, <compiler>": where a record was measured.
+inline std::string host_fingerprint() {
+  std::string model = "unknown cpu";
+  if (std::FILE* f = std::fopen("/proc/cpuinfo", "r")) {
+    char line[512];
+    while (std::fgets(line, sizeof(line), f) != nullptr) {
+      const std::string_view l(line);
+      if (l.rfind("model name", 0) != 0) continue;
+      const auto from = l.find_first_not_of(" \t", l.find(':') + 1);
+      const auto to = l.find_last_not_of(" \t\n");
+      if (from != std::string_view::npos && to >= from) {
+        model = std::string(l.substr(from, to - from + 1));
+      }
+      break;
+    }
+    std::fclose(f);
+  }
+#if defined(__clang__)
+  const char* compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+  const char* compiler = "gcc " __VERSION__;
+#else
+  const char* compiler = "unknown compiler";
+#endif
+  return model + ", " + std::to_string(std::thread::hardware_concurrency()) +
+         " cpus, " + compiler;
+}
+
+/// Separates the variant from the instance family in a run's label.
+inline constexpr std::string_view kFamilyTag = " family=";
+
+/// Labels a run with its kernel variant and instance family; the record
+/// splits them back into "variant" and "family".
+inline void label(benchmark::State& state, std::string_view variant,
+                  std::string_view family) {
+  state.SetLabel(std::string(variant) + std::string(kFamilyTag) +
+                 std::string(family));
+}
+
 /// One emitted record; see the header comment for field semantics.
 struct Record {
   std::string bench;
@@ -62,6 +108,8 @@ struct Record {
   double k = 0;
   double n = 0;
   std::string variant;
+  std::string family;
+  double reachable = 0;
   double ns_per_solve = 0;
   double items_per_sec = 0;
 };
@@ -84,6 +132,15 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter {
         rec.n = it->second.value;
       }
       rec.variant = run.report_label;
+      if (const auto at = rec.variant.find(kFamilyTag);
+          at != std::string::npos) {
+        rec.family = rec.variant.substr(at + kFamilyTag.size());
+        rec.variant.resize(at);
+      }
+      if (const auto it = run.counters.find("reachable");
+          it != run.counters.end()) {
+        rec.reachable = it->second.value;
+      }
       if (run.iterations > 0) {
         rec.ns_per_solve = run.real_accumulated_time /
                            static_cast<double>(run.iterations) * 1e9;
@@ -150,6 +207,7 @@ inline std::vector<Record> collapse_min(const std::vector<Record>& records) {
 inline bool write_json(const std::string& path,
                        const std::vector<Record>& raw) {
   const std::vector<Record> records = collapse_min(raw);
+  const std::string host = host_fingerprint();
   std::string out = "[\n";
   for (std::size_t i = 0; i < records.size(); ++i) {
     const Record& r = records[i];
@@ -162,6 +220,14 @@ inline bool write_json(const std::string& path,
                   ", \"k\": %g, \"N\": %g, \"variant\": ", r.k, r.n);
     out += num;
     append_json_string(out, r.variant);
+    if (!r.family.empty()) {
+      out += ", \"family\": ";
+      append_json_string(out, r.family);
+    }
+    if (r.reachable > 0) {
+      std::snprintf(num, sizeof(num), ", \"reachable\": %.0f", r.reachable);
+      out += num;
+    }
     std::snprintf(num, sizeof(num),
                   ", \"ns_per_solve\": %.1f, \"items_per_sec\": %.1f",
                   r.ns_per_solve, r.items_per_sec);
@@ -170,6 +236,8 @@ inline bool write_json(const std::string& path,
     append_json_string(out, std::string(tt::active_kernel_variant_name()));
     out += ", \"obs\": ";
     append_json_string(out, obs_mode());
+    out += ", \"host\": ";
+    append_json_string(out, host);
     out += '}';
     out += i + 1 < records.size() ? ",\n" : "\n";
   }

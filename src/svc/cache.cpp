@@ -52,7 +52,7 @@ void ProcedureCache::erase_locked(Shard& s, std::list<Entry>::iterator it) {
 void ProcedureCache::publish_bytes() { bytes_gauge_.set(double(bytes())); }
 
 std::shared_ptr<const CachedProcedure> ProcedureCache::find(
-    const CanonKey& key) {
+    const CanonKey& key, bool count_miss) {
   Shard& s = shard_of(key);
   std::shared_ptr<const CachedProcedure> out;
   bool erased = false;
@@ -60,13 +60,13 @@ std::shared_ptr<const CachedProcedure> ProcedureCache::find(
     std::lock_guard<std::mutex> lock(s.mu);
     const auto it = s.index.find(key);
     if (it == s.index.end()) {
-      misses_.add(1);
+      if (count_miss) misses_.add(1);
       return nullptr;
     }
     if (cfg_.ttl.count() > 0 && cfg_.now() >= it->second->expiry) {
       erase_locked(s, it->second);
       expired_.add(1);
-      misses_.add(1);
+      if (count_miss) misses_.add(1);
       erased = true;
     } else {
       s.lru.splice(s.lru.begin(), s.lru, it->second);  // bump to MRU

@@ -63,8 +63,10 @@ class ProcedureCache {
 
   /// Hit: bumps the entry to most-recent and returns it. Expired or absent:
   /// counts a miss (plus svc.cache.expired for lazily collected entries)
-  /// and returns nullptr.
-  std::shared_ptr<const CachedProcedure> find(const CanonKey& key);
+  /// and returns nullptr. `count_miss = false` is for a re-check of a key
+  /// whose miss the same request already counted.
+  std::shared_ptr<const CachedProcedure> find(const CanonKey& key,
+                                              bool count_miss = true);
 
   /// Inserts (or refreshes) the entry and evicts least-recently-used
   /// entries from the shard until it fits its capacity share.

@@ -19,9 +19,10 @@
 //   --max-k=N            admission: dense-solver k ceiling (20)
 //   --max-actions=N      admission: reject N above this (4096)
 //   --max-sparse-k=N     admission: sparse-solver k ceiling; k in
-//                        (max-k, max-sparse-k] is admitted when its
-//                        reachable closure fits the sparse budget; 0
-//                        disables the sparse tier (24)
+//                        (max-k, max-sparse-k] is solved sparse, and one
+//                        whose reachable closure overruns the sparse
+//                        budget gets ERR oversize; 0 disables the sparse
+//                        tier (24)
 //   --sparse-budget-mb=N closure-table byte budget per sparse solve (64)
 //   --max-queue=N        admission: queued-leader cap (1024)
 //   --max-batch=N        micro-batch size cap (32)

@@ -5,16 +5,15 @@
 
 #include "obs/flight.hpp"
 #include "tt/kernel.hpp"
-#include "tt/sizing.hpp"
 #include "tt/solver_frontier.hpp"
 
 namespace ttp::svc {
 
 namespace {
 
-/// Admission and BatchSolver share one planner derived from the scheduler
-/// config, so an instance the probe admitted is guaranteed the solve-time
-/// expansion (same byte budget → same state cap) completes.
+/// BatchSolver's planner, derived from the scheduler config: k above max_k
+/// must go sparse, and its budget-capped closure expansion (the byte
+/// budget over kSparseBytesPerState) is the sparse tier's admission test.
 tt::FrontierConfig planner_from(const SchedulerConfig& cfg) {
   tt::FrontierConfig planner;
   planner.enable_sparse = cfg.max_sparse_k > 0;
@@ -103,24 +102,9 @@ Scheduler::Ticket Scheduler::submit(const Canonical& canon,
             " (max " + std::to_string(cfg_.max_k) + " dense, " +
             std::to_string(k_ceiling) + " sparse)");
   }
-  if (ins.k() > cfg_.max_k) {
-    // Sparse tier: admit only when a bounded closure probe proves the
-    // reachable set fits the byte budget. The probe cap equals the
-    // solve-time planner's cap (same FrontierConfig arithmetic), so an
-    // admitted instance cannot fail expansion inside the batch solver.
-    const std::size_t cap = planner_from(cfg_).state_budget(ins.k());
-    const tt::ReachableEstimate est = tt::estimate_reachable(ins, cap);
-    if (!est.exact) {
-      rejected_oversize_.add(1);
-      return ready_ticket(
-          Status::kRejectedOversize,
-          "instance exceeds admission limits (sparse-budget): k=" +
-              std::to_string(ins.k()) + " reachable closure needs >" +
-              std::to_string(est.states * tt::kSparseBytesPerState) +
-              " bytes (budget " + std::to_string(cfg_.sparse_budget_bytes) +
-              ")");
-    }
-  }
+  // A sparse-tier k (max_k < k ≤ max_sparse_k) is queued like any other:
+  // the solve's own budget-capped expansion decides it, and an overrun
+  // resolves this request as (sparse-budget) in solve_batch.
   std::lock_guard<std::mutex> lock(mu_);
   if (stop_) {
     // A submit racing shutdown (a session that read its SOLVE command just
@@ -135,6 +119,14 @@ Scheduler::Ticket Scheduler::submit(const Canonical& canon,
     // The follower->leader link: the joined solve belongs to the leader's
     // trace, which is what a TRACE replay of this request points at.
     return Ticket{it->second->future, false, it->second->trace};
+  }
+  // The leader inserts into the cache before it retires under mu_, so a
+  // key no longer in flight is cached unless it failed or was evicted: the
+  // caller's own lookup may have missed just before that insert.
+  if (auto proc = cache_.find(canon.key, /*count_miss=*/false)) {
+    std::promise<SolveOutcome> p;
+    p.set_value(SolveOutcome{Status::kOk, std::move(proc), {}});
+    return Ticket{p.get_future().share(), false, 0, /*hit=*/true};
   }
   if (queue_.size() >= cfg_.max_queue) {
     rejected_queue_full_.add(1);
@@ -222,6 +214,25 @@ void Scheduler::drain_loop() {
   }
 }
 
+void Scheduler::settle_failure(SolveOutcome& o,
+                               const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const tt::ClosureOverBudget& e) {
+    // The sparse tier's admission verdict, reached by the solve itself.
+    rejected_oversize_.add(1);
+    o.status = Status::kRejectedOversize;
+    o.error = "instance exceeds admission limits (sparse-budget): k=" +
+              std::to_string(e.k) + " reachable closure needs >" +
+              std::to_string(e.states * tt::kSparseBytesPerState) +
+              " bytes (budget " + std::to_string(cfg_.sparse_budget_bytes) +
+              ")";
+  } catch (const std::exception& e) {
+    o.status = Status::kError;
+    o.error = e.what();
+  }
+}
+
 void Scheduler::solve_batch(std::deque<std::shared_ptr<Entry>>& batch,
                             std::int64_t window_ns) {
   const std::uint32_t batch_seq = ++batch_seq_;
@@ -234,80 +245,63 @@ void Scheduler::solve_batch(std::deque<std::shared_ptr<Entry>>& batch,
     traces.push_back(entry->trace);
   }
 
-  std::vector<tt::SolveResult> results;
-  std::string error;
   const std::int64_t solve_start_ns = obs::steady_now_ns();
-  try {
-    results = solver_.solve_many(std::span<const tt::Instance* const>(ptrs),
-                                 traces);
-  } catch (const std::exception& e) {
-    error = e.what();
-  }
+  std::vector<tt::BatchOutcome> solved = solver_.solve_many(
+      std::span<const tt::Instance* const>(ptrs), traces);
   const std::int64_t solve_end_ns = obs::steady_now_ns();
   batches_.add(1);
   batch_size_.record(batch.size());
 
+  // Frontier attribution: how many instances the sparse reachable-set path
+  // served, how many closure states it touched doing so, and how often a
+  // sparse attempt was given up for dense. The same breakdown gives each
+  // request its planner verdict. Only instances that returned a procedure
+  // count; write-behind handles for the durable store are taken here,
+  // before the outcomes are moved into the promises below.
+  std::uint64_t solved_n = 0, fr_instances = 0, fr_states = 0, fr_fallback = 0;
+  std::vector<std::pair<CanonKey, std::shared_ptr<const CachedProcedure>>>
+      to_store;
   std::vector<SolveOutcome> outcomes(batch.size());
-  for (auto& o : outcomes) {
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    SolveOutcome& o = outcomes[i];
     o.drain_ns = window_ns;
     o.solve_start_ns = solve_start_ns;
     o.solve_end_ns = solve_end_ns;
     o.batch = static_cast<std::uint32_t>(batch.size());
     o.batch_seq = batch_seq;
+    if (solved[i].error) {
+      settle_failure(o, solved[i].error);
+      continue;
+    }
+    tt::SolveResult& r = solved[i].result;
+    const std::uint64_t st = r.breakdown.get("frontier_states");
+    const std::uint64_t fb = r.breakdown.get("frontier_fallback");
+    ++solved_n;
+    if (st != 0) {
+      ++fr_instances;
+      fr_states += st;
+    }
+    fr_fallback += fb;
+    o.plan = fb != 0 ? Plan::kFallback : st != 0 ? Plan::kSparse : Plan::kDense;
+    auto proc = std::make_shared<CachedProcedure>();
+    proc->tree = std::move(r.tree);
+    proc->cost = r.cost;
+    proc->bytes = approx_bytes(*proc);
+    cache_.insert(batch[i]->key, proc);
+    if (store_ != nullptr) to_store.emplace_back(batch[i]->key, proc);
+    o.status = Status::kOk;
+    o.proc = std::move(proc);
   }
-  if (error.empty()) {
-    kernel_instances_.add(batch.size());
-    // Frontier attribution: how many instances the sparse reachable-set
-    // path served, how many closure states it touched doing so, and how
-    // often a budget-capped expansion fell back dense. The same breakdown
-    // gives each request its planner verdict.
-    std::uint64_t fr_instances = 0, fr_states = 0, fr_fallback = 0;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const tt::SolveResult& r = results[i];
-      const std::uint64_t st = r.breakdown.get("frontier_states");
-      const std::uint64_t fb = r.breakdown.get("frontier_fallback");
-      if (st != 0) {
-        ++fr_instances;
-        fr_states += st;
-      }
-      fr_fallback += fb;
-      outcomes[i].plan =
-          fb != 0 ? Plan::kFallback : st != 0 ? Plan::kSparse : Plan::kDense;
-    }
-    // Per-solve variant attribution: svc.solve.variant.{scalar,simd-avx2}
-    // counts the dense-path instances, so STATS shows how much traffic each
-    // dense kernel actually served (the active variant can change at
-    // runtime). Frontier instances ran the scalar sparse wave, not it.
-    variant_[static_cast<std::size_t>(tt::active_kernel_variant())]->add(
-        batch.size() - fr_instances);
-    frontier_instances_.add(fr_instances);
-    frontier_states_.add(fr_states);
-    frontier_fallback_.add(fr_fallback);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      auto proc = std::make_shared<CachedProcedure>();
-      proc->tree = std::move(results[i].tree);
-      proc->cost = results[i].cost;
-      proc->bytes = approx_bytes(*proc);
-      cache_.insert(batch[i]->key, proc);
-      outcomes[i].status = Status::kOk;
-      outcomes[i].proc = std::move(proc);
-    }
-  } else {
-    for (auto& o : outcomes) {
-      o.status = Status::kError;
-      o.error = error;
-    }
-  }
-  // Write-behind handles for the durable store, taken before the outcomes
-  // are moved into the promises below.
-  std::vector<std::pair<CanonKey, std::shared_ptr<const CachedProcedure>>>
-      to_store;
-  if (store_ != nullptr && error.empty()) {
-    to_store.reserve(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      to_store.emplace_back(batch[i]->key, outcomes[i].proc);
-    }
-  }
+  kernel_instances_.add(solved_n);
+  // Per-solve variant attribution: svc.solve.variant.{scalar,simd-avx2}
+  // counts the dense-path instances, so STATS shows how much traffic each
+  // dense kernel actually served (the active variant can change at
+  // runtime). Frontier instances ran the scalar sparse wave, not it.
+  variant_[static_cast<std::size_t>(tt::active_kernel_variant())]->add(
+      solved_n - fr_instances);
+  frontier_instances_.add(fr_instances);
+  frontier_states_.add(fr_states);
+  frontier_fallback_.add(fr_fallback);
   // Retire AFTER the cache insert so every moment of an entry's life is
   // covered: in flight (followers join) until here, cached from here on.
   {

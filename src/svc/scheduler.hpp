@@ -4,16 +4,24 @@
 //
 // Request lifecycle:
 //
-//   submit(canonical) ── admission ──> typed reject (oversize / queue full)
+//   submit(canonical) ── (actions), (k) ──> typed reject (oversize)
 //        │
 //        ├─ key already in flight ──> follower: the existing entry's
 //        │                            shared_future (one solve, M waiters)
+//        ├─ key cached since the caller's lookup ──> hit, resolved at once
+//        ├─ queue at max_queue ──> typed reject (queue full)
 //        └─ leader: entry enqueued; the drain thread collects up to
 //           max_batch distinct entries (waiting at most batch_delay after
 //           the first arrival), solves them in one solve_many call, inserts
 //           results into the cache, THEN retires the entries and resolves
 //           their futures — so a request arriving mid-solve joins the
 //           in-flight entry, and one arriving after retirement hits cache.
+//
+// Each instance of a micro-batch settles on its own outcome. A sparse-tier
+// instance (max_k < k ≤ max_sparse_k) is admitted without a probe: its
+// solve expands the reachable closure once, under the sparse byte budget,
+// and an overrun resolves that request (and its followers) as
+// kRejectedOversize "(sparse-budget)"; nothing is cached or stored.
 //
 // Shutdown (stop()/destructor) joins the drain thread and resolves every
 // still-pending future with Status::kCancelled; no future is ever leaked
@@ -34,6 +42,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -76,7 +85,8 @@ std::string_view plan_name(Plan p) noexcept;
 /// batch and solve stages: the queue ends when the drain thread opens the
 /// micro-batch window, the batch (window plus batch formation) when
 /// solve_many starts, the solve when it returns. All zero for outcomes
-/// that never reached the drain thread (rejects, cancels).
+/// that never reached the drain thread (submit-time rejects, cancels,
+/// submit-time cache hits).
 struct SolveOutcome {
   Status status = Status::kCancelled;
   std::shared_ptr<const CachedProcedure> proc;
@@ -97,17 +107,17 @@ struct SchedulerConfig {
   std::chrono::microseconds batch_delay{200};
   int max_k = 20;          ///< Admission: dense ceiling; see max_sparse_k.
   int max_actions = 4096;  ///< Admission: reject instances above this N.
-  /// Admission: instances with max_k < k ≤ max_sparse_k are admitted iff a
-  /// bounded closure probe (tt::estimate_reachable) proves their reachable
-  /// set fits sparse_budget_bytes — the sparse frontier solver then serves
-  /// them without ever materializing 2^k tables. Set to 0 to disable the
-  /// sparse solver entirely (admission then caps at max_k and every solve
-  /// runs dense); values ≤ max_k keep the adaptive sparse path for large
-  /// in-dense-range instances but admit nothing above max_k.
+  /// Admission: instances with max_k < k ≤ max_sparse_k are queued for the
+  /// sparse frontier solver, which serves them without ever materializing
+  /// 2^k tables; one whose reachable closure overruns sparse_budget_bytes
+  /// while it is expanded resolves as kRejectedOversize (sparse-budget).
+  /// Set to 0 to disable the sparse solver entirely (admission then caps at
+  /// max_k and every solve runs dense); values ≤ max_k keep the adaptive
+  /// sparse path for large in-dense-range instances but admit nothing
+  /// above max_k.
   int max_sparse_k = 24;
-  /// Byte budget for one sparse solve's closure tables; both the admission
-  /// probe and the solve-time planner derive their state caps from it, so
-  /// an admitted instance cannot fail expansion later.
+  /// Byte budget for one sparse solve's closure tables; the solve-time
+  /// planner derives its state cap from it (FrontierConfig::state_budget).
   std::size_t sparse_budget_bytes = std::size_t{64} << 20;
   bool autostart = true;  ///< false: nothing drains until start().
 };
@@ -128,10 +138,14 @@ class Scheduler {
     /// own ID when leader, the leader's when joining as a follower (the
     /// follower->leader link the flight recorder stores), 0 on rejection.
     std::uint64_t leader_trace = 0;
+    /// True when the key's leader retired between the caller's cache
+    /// lookup and this submit: the future already holds the procedure.
+    bool hit = false;
   };
 
-  /// Admission check + singleflight join + enqueue. Rejections come back as
-  /// already-resolved futures, so callers have a single wait path.
+  /// Admission check + singleflight join + enqueue. Rejections and
+  /// submit-time cache hits come back as already-resolved futures, so
+  /// callers have a single wait path.
   /// `trace` is the caller's request trace ID; it propagates into the
   /// kernel-level spans of the solve this request leads.
   Ticket submit(const Canonical& canon, std::uint64_t trace = 0);
@@ -170,6 +184,9 @@ class Scheduler {
   /// Solves one drained micro-batch whose window opened at `window_ns`.
   void solve_batch(std::deque<std::shared_ptr<Entry>>& batch,
                    std::int64_t window_ns);
+  /// One instance's solve failure as its request's verdict: a closure over
+  /// the sparse budget is the (sparse-budget) reject, anything else kError.
+  void settle_failure(SolveOutcome& o, const std::exception_ptr& error);
 
   ProcedureCache& cache_;
   store::ProcedureStore* store_ = nullptr;  ///< Write-behind tier; optional.

@@ -79,8 +79,8 @@ Service::Pending Service::admit(const tt::Instance& ins,
   p.rec_ = timeline;
   obs::FlightRecord& rec = p.rec_;
   rec.trace = obs::next_trace_id();
-  // Bind for the admission path: spans the scheduler runs synchronously
-  // (the sparse admission probe) carry this request's ID.
+  // Bind for the admission path: spans run synchronously on this thread
+  // carry this request's ID.
   const obs::TraceBinding bind(rec.trace);
   requests_.add(1);
 
@@ -127,7 +127,9 @@ Service::Pending Service::admit(const tt::Instance& ins,
 
   Scheduler::Ticket ticket = scheduler_->submit(*canon, rec.trace);
   rec.mark(obs::Stage::kAdmit, obs::steady_now_ns());
-  p.cache_ = ticket.leader ? CacheOutcome::kMiss : CacheOutcome::kInflight;
+  p.cache_ = ticket.hit      ? CacheOutcome::kHit
+             : ticket.leader ? CacheOutcome::kMiss
+                             : CacheOutcome::kInflight;
   rec.leader = ticket.leader ? 0 : ticket.leader_trace;
   p.future_ = std::move(ticket.future);
   return p;

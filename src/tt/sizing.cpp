@@ -45,9 +45,8 @@ int max_k_for_machine(int budget_log2, ActionBudget policy) {
 
 ReachableEstimate estimate_reachable(const Instance& ins,
                                      std::uint64_t max_states) {
-  // Function-local arena: estimation happens on admission paths that may
-  // run concurrently across sessions, and oversize-k probes are rare
-  // enough that the allocation cost does not matter.
+  // Function-local arena: callers may estimate concurrently, and a
+  // measurement is rare enough that the allocation cost does not matter.
   FrontierArena arena;
   const ClosureResult cr = expand_reachable(
       ins, static_cast<std::size_t>(max_states), arena, /*pool=*/nullptr);

@@ -43,13 +43,13 @@ struct ReachableEstimate {
   bool exact = false;
 };
 
-/// Measures the reachable closure of `ins` by running the frontier
-/// expansion with a `max_states` cap. This is the admission-time sizing
-/// primitive for the sparse solver: an exact result that fits the sparse
-/// byte budget (states · kSparseBytesPerState) guarantees the solve-time
-/// expansion — run with the same cap — also completes. Cost is
-/// O(min(|R|, max_states) · N); runs serially on the caller's thread with
-/// function-local scratch, so it is safe to call concurrently.
+/// Measures the reachable closure of `ins` by running the whole frontier
+/// expansion with a `max_states` cap (no top-layer check): an exact result
+/// under a cap of state_budget(k) means the solve-time expansion, run with
+/// the same cap, also completes. Cost is O(min(|R|, max_states) · N); runs
+/// serially on the caller's thread with function-local scratch, so it is
+/// safe to call concurrently. The serving tier does not call it: its
+/// solve's own expansion is the sparse tier's admission test.
 ReachableEstimate estimate_reachable(const Instance& ins,
                                      std::uint64_t max_states);
 

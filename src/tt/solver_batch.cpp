@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <exception>
-#include <mutex>
 
 #include "obs/trace.hpp"
 #include "tt/kernel.hpp"
@@ -15,14 +13,23 @@ std::vector<SolveResult> BatchSolver::solve_many(
     std::span<const Instance> instances) const {
   std::vector<const Instance*> ptrs;
   ptrs.reserve(instances.size());
-  for (const Instance& ins : instances) ptrs.push_back(&ins);
-  return solve_many(std::span<const Instance* const>(ptrs));
+  for (const Instance& ins : instances) {
+    ins.check();  // a malformed instance throws here, before dispatch
+    ptrs.push_back(&ins);
+  }
+  std::vector<SolveResult> out;
+  out.reserve(instances.size());
+  for (BatchOutcome& o : solve_many(std::span<const Instance* const>(ptrs))) {
+    if (o.error) std::rethrow_exception(o.error);
+    out.push_back(std::move(o.result));
+  }
+  return out;
 }
 
-std::vector<SolveResult> BatchSolver::solve_many(
+std::vector<BatchOutcome> BatchSolver::solve_many(
     std::span<const Instance* const> instances,
     std::span<const std::uint64_t> traces) const {
-  std::vector<SolveResult> out(instances.size());
+  std::vector<BatchOutcome> out(instances.size());
   if (instances.empty()) return out;
   assert((traces.empty() || traces.size() == instances.size()) &&
          "BatchSolver::solve_many: traces must align with instances");
@@ -36,9 +43,6 @@ std::vector<SolveResult> BatchSolver::solve_many(
            "BatchSolver::solve_many: instance pointers must be distinct");
   }
 #endif
-  // Validate on the caller's thread: a malformed instance throws here, not
-  // inside a pool worker.
-  for (const Instance* ins : instances) ins->check();
 
   TTP_TRACE_SPAN(span, "solve.batch_many");
   span.attr("instances", static_cast<std::uint64_t>(instances.size()));
@@ -50,11 +54,6 @@ std::vector<SolveResult> BatchSolver::solve_many(
   // output is deterministic regardless of which worker solves what.
   std::atomic<std::size_t> next{0};
   const std::size_t n = instances.size();
-  // An exception escaping a pool task would std::terminate the process, so
-  // workers stash the first one and the caller rethrows it (the adaptive
-  // planner throws when a budget-capped closure has no dense fallback).
-  std::exception_ptr failure;
-  std::mutex failure_mu;
   pool_.parallel_for(n, [&](std::size_t, std::size_t) {
     static thread_local SolveArena arena;
     static thread_local FrontierArena frontier;
@@ -64,19 +63,21 @@ std::vector<SolveResult> BatchSolver::solve_many(
       // span for this instance joins the request's journey.
       const obs::TraceBinding bind(traces.empty() ? obs::current_trace()
                                                   : traces[i]);
+      // An exception escaping a pool task would std::terminate the
+      // process; each instance keeps its own (solve_adaptive validates the
+      // instance and throws ClosureOverBudget for an unservable closure).
       try {
         // pool=nullptr: this worker IS the parallelism — nesting the
         // frontier's own fan-out inside a pool task would double-book the
         // cores for no win at batch depth ≥ workers.
-        out[i] = solve_adaptive(*instances[i], arena, frontier, planner_,
-                                /*pool=*/nullptr, "solve.batch");
+        out[i].result = solve_adaptive(*instances[i], arena, frontier,
+                                       planner_, /*pool=*/nullptr,
+                                       "solve.batch");
       } catch (...) {
-        const std::lock_guard<std::mutex> lock(failure_mu);
-        if (!failure) failure = std::current_exception();
+        out[i].error = std::current_exception();
       }
     }
   });
-  if (failure) std::rethrow_exception(failure);
   TTP_METRIC_ADD("batch.instances", instances.size());
   return out;
 }

@@ -14,12 +14,14 @@
 // serially — instance-level parallelism already saturates the pool, so
 // the frontier's internal pool stays unused here). Either path charges the
 // sequential cost model per result (steps.total_ops == that instance's
-// M-evaluation count); results come back in input order. Bench E23
-// measures instances/sec.
+// M-evaluation count); results come back in input order, and an instance
+// whose solve throws fails only its own outcome. Bench E23 measures
+// instances/sec.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <span>
 #include <vector>
 
@@ -28,6 +30,12 @@
 #include "util/thread_pool.hpp"
 
 namespace ttp::tt {
+
+/// One instance's share of a batch: its result, or what its solve threw.
+struct BatchOutcome {
+  SolveResult result;        ///< Meaningful when `error` is null.
+  std::exception_ptr error;  ///< E.g. ClosureOverBudget; the rest still ran.
+};
 
 class BatchSolver {
  public:
@@ -38,23 +46,26 @@ class BatchSolver {
       : pool_(workers), planner_(planner) {}
 
   /// Solves every instance; results are positionally aligned with the input.
-  /// (Elements of a contiguous span are distinct objects by construction, so
-  /// the pointer-overload's aliasing restriction cannot be violated here.)
+  /// Validates every instance before dispatch, and rethrows the first
+  /// (lowest-index) failure once the batch has run. (Elements of a
+  /// contiguous span are distinct objects by construction, so the pointer
+  /// overload's aliasing restriction cannot be violated here.)
   std::vector<SolveResult> solve_many(
       std::span<const Instance> instances) const;
 
   /// Pointer-span overload for callers whose instances are not contiguous
-  /// (e.g. the svc scheduler's queued entries). NO ALIASING: all pointers
-  /// must refer to distinct Instance objects. The lazy p(S) subset-weight
-  /// table is a mutable per-instance cache with no synchronization, so two
-  /// pool workers solving the same object race on it; debug builds assert
-  /// distinctness, release builds do not check.
+  /// (e.g. the svc scheduler's queued entries), with one outcome per
+  /// instance: a malformed or unservable instance fails only its own.
+  /// NO ALIASING: all pointers must refer to distinct Instance objects.
+  /// The lazy p(S) subset-weight table is a mutable per-instance cache with
+  /// no synchronization, so two pool workers solving the same object race
+  /// on it; debug builds assert distinctness, release builds do not check.
   ///
   /// `traces`, when non-empty, must be positionally aligned with
   /// `instances`: the worker binds traces[i] as the obs trace ID around
   /// instance i's solve, so the per-instance kernel spans ("solve.batch")
   /// carry the request's trace ID even though they run on pool threads.
-  std::vector<SolveResult> solve_many(
+  std::vector<BatchOutcome> solve_many(
       std::span<const Instance* const> instances,
       std::span<const std::uint64_t> traces = {}) const;
 

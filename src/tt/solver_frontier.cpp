@@ -14,6 +14,12 @@ namespace ttp::tt {
 
 namespace {
 
+/// The top-layer check's threshold: share of layer k−2's C(k,2) sets that
+/// must be reachable for the planner to give up on the sparse closure. The
+/// paper's domain families fill that layer completely; the random family
+/// fills 4.5–7.6% of it on average and 29% at most (docs/algorithm.md).
+constexpr double kTopLayerDenseFill = 0.5;
+
 /// Scratch for the per-chunk gather rows (slot indices, action-major).
 /// Thread-local so pool workers and batch workers each reuse their own;
 /// capacity is bounded by the chunk budget below, not the instance.
@@ -265,7 +271,8 @@ std::size_t FrontierConfig::state_budget(int k) const {
 }
 
 ClosureResult expand_reachable(const Instance& ins, std::size_t max_states,
-                               FrontierArena& arena, util::ThreadPool* pool) {
+                               FrontierArena& arena, util::ThreadPool* pool,
+                               bool top_check) {
   const int k = ins.k();
   const int N = ins.num_actions();
   const std::size_t nt = static_cast<std::size_t>(ins.num_tests());
@@ -293,8 +300,17 @@ ClosureResult expand_reachable(const Instance& ins, std::size_t max_states,
 
   // Top-down: children have strictly smaller popcount, so one k -> 2
   // descent discovers the whole closure (layer-1 states only spawn ∅).
+  // Layer j is complete once every layer above it has been expanded.
+  const double top_sets = 0.5 * k * (k - 1);  // C(k,2) = |layer k−2|
+  std::size_t expanded = 0;
   for (int j = k; j >= 2; --j) {
     const std::vector<Mask>& layer = arena.buckets[static_cast<std::size_t>(j)];
+    if (top_check && j == k - 2 &&
+        static_cast<double>(layer.size()) > kTopLayerDenseFill * top_sets) {
+      arena.states = total;
+      return ClosureResult{false, true, total, expanded};
+    }
+    expanded += layer.size();
     for (std::size_t off = 0; off < layer.size(); off += chunk) {
       const std::size_t cc = std::min(chunk, layer.size() - off);
       // Parallel emit: the dedup map is read-only here; each state writes
@@ -329,7 +345,7 @@ ClosureResult expand_reachable(const Instance& ins, std::size_t max_states,
               .push_back(row[c]);
           if (++total > max_states) {
             arena.states = total;
-            return ClosureResult{false, total};
+            return ClosureResult{false, false, total, expanded};
           }
         }
       }
@@ -338,8 +354,17 @@ ClosureResult expand_reachable(const Instance& ins, std::size_t max_states,
   arena.states = total;
   arena.complete = true;
   layout_closure(ins, arena, pool);
-  return ClosureResult{true, total};
+  return ClosureResult{true, false, total, expanded};
 }
+
+ClosureOverBudget::ClosureOverBudget(int k_, std::size_t states_,
+                                     int dense_max_k)
+    : std::runtime_error(
+          "frontier: reachable closure exceeds the sparse budget (" +
+          std::to_string(states_) + "+ states) and k=" + std::to_string(k_) +
+          " exceeds the dense ceiling " + std::to_string(dense_max_k)),
+      k(k_),
+      states(states_) {}
 
 SolveResult solve_adaptive(const Instance& ins, SolveArena& dense,
                            FrontierArena& sparse, const FrontierConfig& cfg,
@@ -347,8 +372,8 @@ SolveResult solve_adaptive(const Instance& ins, SolveArena& dense,
   ins.check();
   const int k = ins.k();
   // Above the dense ceiling sparse is the only option, min_sparse_k
-  // notwithstanding — admission let the instance in on the strength of a
-  // closure probe, not a dense table.
+  // notwithstanding: no dense table may be built, so the budget-capped
+  // expansion below decides whether the instance can be served at all.
   const bool must_sparse = k > cfg.dense_max_k;
   if (!cfg.enable_sparse || (!must_sparse && k < cfg.min_sparse_k)) {
     if (must_sparse) {
@@ -358,21 +383,30 @@ SolveResult solve_adaptive(const Instance& ins, SolveArena& dense,
     }
     return solve_with_arena(ins, dense, span_name);
   }
+  // The top-layer check only where dense is exact and the caller left the
+  // dense sweep a share of the lattice (dense_crossover = 1 forces sparse).
+  const bool top_check = !must_sparse && cfg.dense_crossover < 1.0;
   ClosureResult cr;
   {
     TTP_TRACE_SPAN(span, "frontier.closure");
-    cr = expand_reachable(ins, cfg.state_budget(k), sparse, pool);
+    cr = expand_reachable(ins, cfg.state_budget(k), sparse, pool, top_check);
     span.attr("states", static_cast<std::uint64_t>(cr.states));
+    span.attr("expanded", static_cast<std::uint64_t>(cr.expanded));
     span.attr("complete", cr.complete ? 1 : 0);
+    span.attr("top_full", cr.top_full ? 1 : 0);
   }
   if (!cr.complete) {
     TTP_METRIC_ADD("kernel.frontier.fallback", 1);
-    if (k > cfg.dense_max_k) {
-      throw std::runtime_error(
-          "frontier: reachable closure exceeds the sparse budget (" +
-          std::to_string(cr.states) + "+ states) and k=" + std::to_string(k) +
-          " exceeds the dense ceiling " + std::to_string(cfg.dense_max_k));
+    if (must_sparse) {
+      // Release the overrun's map and buckets: a reused arena keeps its
+      // capacity, and every later expansion on it would refill a map
+      // sized for the whole budget (1.68M states by default) first.
+      sparse.map = StateMap{};
+      sparse.buckets.clear();
+      throw ClosureOverBudget(k, cr.states, cfg.dense_max_k);
     }
+    // A budget overrun or a full top layer: the sparse attempt is given up
+    // either way, and both read as a fallback.
     SolveResult res = solve_with_arena(ins, dense, span_name);
     res.breakdown.add("frontier_fallback", 1);
     return res;

@@ -38,14 +38,18 @@
 // instance: below min_sparse_k the dense arena path wins outright (no hash
 // traffic); above it, a budget-capped expansion either completes — sparse
 // solve — or hits the cap and falls back dense (k ≤ dense_max_k) or throws
-// (k above it; admission should have prevented this). svc::Scheduler feeds
-// the same FrontierConfig to admission and to BatchSolver, so an accepted
-// k > max_k request is guaranteed a complete closure at solve time.
+// ClosureOverBudget (k above it). Where dense is exact the expansion also
+// stops at the top-layer check: once U and layer k−1 are expanded, layer
+// k−2 is complete, and if more than half of its C(k,2) sets are reachable
+// the closure is near the full lattice and the dense sweep runs at once.
+// svc::Scheduler solves its sparse tier through this planner, so the
+// solve's own expansion is the tier's admission test.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <string_view>
 #include <vector>
 
@@ -71,7 +75,7 @@ struct FrontierConfig {
   /// For k ≤ dense_max_k the expansion is additionally capped at
   /// crossover·2^k: past that fraction the dense wave (no hash lookups, no
   /// row builds) is the better kernel, so expansion stops early and the
-  /// planner falls back dense.
+  /// planner falls back dense. Below 1 it also arms the top-layer check.
   double dense_crossover = 0.125;
   /// Below this k the dense path runs unconditionally.
   int min_sparse_k = 15;
@@ -103,19 +107,32 @@ struct FrontierArena {
 };
 
 struct ClosureResult {
-  bool complete = false;   ///< false: budget hit, `states` is a lower bound
-  std::size_t states = 0;  ///< states discovered (incl. ∅)
+  bool complete = false;     ///< false: stopped early, `states` is a lower bound
+  bool top_full = false;     ///< stopped by the top-layer check, not the cap
+  std::size_t states = 0;    ///< states discovered (incl. ∅)
+  std::size_t expanded = 0;  ///< states whose children were emitted
 };
 
 /// Expands the reachable closure of U, stopping once more than max_states
-/// states are discovered. On completion the arena holds the laid-out
-/// closure (masks/layer_off/map/ws) ready for the sparse waves; on abort
-/// only `states` is meaningful. `pool` parallelizes the per-layer emit
-/// phase; nullptr runs serially (the batch-worker mode). Deterministic
-/// either way.
+/// states are discovered. With `top_check`, it also stops as soon as layer
+/// k−2 is complete if more than half of that layer is reachable (see the
+/// header comment). On completion the arena holds the laid-out closure
+/// (masks/layer_off/map/ws) ready for the sparse waves; on a stop only
+/// `states` is meaningful. `pool` parallelizes the per-layer emit phase;
+/// nullptr runs serially (the batch-worker mode). Deterministic either way.
 ClosureResult expand_reachable(const Instance& ins, std::size_t max_states,
                                FrontierArena& arena,
-                               util::ThreadPool* pool = nullptr);
+                               util::ThreadPool* pool = nullptr,
+                               bool top_check = false);
+
+/// What solve_adaptive throws when k is above the dense ceiling and the
+/// budget-capped closure overruns: no path can serve the instance under
+/// that config. svc reports it as the (sparse-budget) admission verdict.
+struct ClosureOverBudget : std::runtime_error {
+  ClosureOverBudget(int k, std::size_t states, int dense_max_k);
+  int k;
+  std::size_t states;  ///< Discovered when the cap tripped: a lower bound.
+};
 
 /// Test/bench view of the sparse tables (copies of the arena's storage).
 struct FrontierTables {
@@ -125,9 +142,11 @@ struct FrontierTables {
   std::vector<int> best;
 };
 
-/// Adaptive solve on caller-owned arenas: dense below min_sparse_k or on
-/// budget-capped closures (k ≤ dense_max_k), sparse otherwise. Throws
-/// std::runtime_error when the closure exceeds budget AND k > dense_max_k.
+/// Adaptive solve on caller-owned arenas: dense below min_sparse_k, on
+/// budget-capped closures and on full top layers (k ≤ dense_max_k), sparse
+/// otherwise. The top-layer check runs only while dense_crossover < 1, so
+/// a caller that sets it to 1 forces the sparse path. Throws
+/// ClosureOverBudget when the closure exceeds budget AND k > dense_max_k.
 /// Single caller per (dense, sparse) arena pair at a time — same aliasing
 /// rule as solver_batch.hpp. `span_name` names the root trace span.
 SolveResult solve_adaptive(const Instance& ins, SolveArena& dense,

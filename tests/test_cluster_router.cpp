@@ -149,17 +149,30 @@ class BlackHole {
 };
 
 /// A port that refuses connections: bind, read the port, close.
-int dead_port() {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-  socklen_t len = sizeof(addr);
-  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
-  ::close(fd);
-  return ntohs(addr.sin_port);
-}
+/// A loopback port that refuses connections for the holder's lifetime:
+/// the socket is bound but never listens, so a connect gets ECONNREFUSED,
+/// and while it stays bound no other test's listen(0) can take the port.
+class DeadPort {
+ public:
+  DeadPort() : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+    socklen_t len = sizeof(addr);
+    ::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len);
+    port_ = ntohs(addr.sin_port);
+  }
+  ~DeadPort() { ::close(fd_); }
+  DeadPort(const DeadPort&) = delete;
+  DeadPort& operator=(const DeadPort&) = delete;
+
+  int port() const { return port_; }
+
+ private:
+  int fd_;
+  int port_ = 0;
+};
 
 RouterConfig fast_cfg() {
   RouterConfig cfg;
@@ -591,12 +604,13 @@ TEST(SvcRouter, FailsOverUnderConcurrentLoadWhenABackendDies) {
 
 TEST(SvcRouter, RetriesTransportFailuresOnNextReplica) {
   Backend alive;
-  const int dead = dead_port();
+  const DeadPort dead;
   RouterConfig cfg = fast_cfg();
   cfg.retries = 2;
   // Both orders: whichever replica a key prefers, one of them refuses
   // connections, so some solve exercises the retry path.
-  RouterHarness rh({"127.0.0.1:" + std::to_string(dead), alive.address()},
+  RouterHarness rh({"127.0.0.1:" + std::to_string(dead.port()),
+                    alive.address()},
                    cfg);
   int retried_keys = 0;
   for (int i = 0; i < 12; ++i) {
@@ -612,11 +626,11 @@ TEST(SvcRouter, RetriesTransportFailuresOnNextReplica) {
 }
 
 TEST(SvcRouter, AllReplicasDownYieldsTypedUpstreamError) {
-  const int d1 = dead_port(), d2 = dead_port();
+  const DeadPort d1, d2;
   RouterConfig cfg = fast_cfg();
   cfg.retries = 3;
-  RouterHarness rh({"127.0.0.1:" + std::to_string(d1),
-                    "127.0.0.1:" + std::to_string(d2)},
+  RouterHarness rh({"127.0.0.1:" + std::to_string(d1.port()),
+                    "127.0.0.1:" + std::to_string(d2.port())},
                    cfg);
   WireClient c("127.0.0.1", rh.port());
   ASSERT_TRUE(c.connected());

@@ -227,5 +227,28 @@ TEST(BatchSolver, ThrowsOnMalformedInstanceBeforeDispatch) {
   EXPECT_THROW(BatchSolver(2).solve_many(batch), std::invalid_argument);
 }
 
+TEST(BatchSolver, AFailingInstanceFailsOnlyItsOwnOutcome) {
+  // k = 9 above a dense ceiling of 8 must go sparse, and singleton tests
+  // make its closure the full 512-state lattice: over the 64-state cap,
+  // its solve throws. fig1_example in the same batch still solves.
+  FrontierConfig planner;
+  planner.min_sparse_k = 2;
+  planner.max_states = 64;
+  planner.dense_max_k = 8;
+  Instance unservable(9, std::vector<double>(9, 0.1));
+  for (int i = 0; i < 9; ++i) unservable.add_test(util::bit(i), 1.0);
+  unservable.add_treatment(unservable.universe(), 2.0);
+  const Instance fig1 = fig1_example();
+  const std::vector<const Instance*> batch{&unservable, &fig1};
+
+  const std::vector<BatchOutcome> out =
+      BatchSolver(2, planner).solve_many(std::span<const Instance* const>(batch));
+  ASSERT_EQ(out.size(), 2u);
+  ASSERT_TRUE(out[0].error);
+  EXPECT_THROW(std::rethrow_exception(out[0].error), ClosureOverBudget);
+  ASSERT_FALSE(out[1].error);
+  EXPECT_EQ(out[1].result.cost, SequentialSolver().solve(fig1).cost);
+}
+
 }  // namespace
 }  // namespace ttp::tt

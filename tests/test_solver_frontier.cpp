@@ -325,6 +325,24 @@ TEST(FrontierPlanner, ThrowsWhenCappedAboveTheDenseCeiling) {
   EXPECT_THROW((void)solver.solve(ins), std::runtime_error);
 }
 
+TEST(FrontierPlanner, OverBudgetThrowReleasesTheClosureMap) {
+  // Batch workers reuse one arena per thread; an overrun left in it would
+  // make every later expansion refill a budget-sized map.
+  FrontierConfig cfg;
+  cfg.min_sparse_k = 2;
+  cfg.max_states = 2048;
+  cfg.dense_max_k = 8;
+  SolveArena dense;
+  FrontierArena sparse;
+  EXPECT_THROW((void)solve_adaptive(singleton_instance(12), dense, sparse, cfg),
+               ClosureOverBudget);
+  EXPECT_EQ(sparse.map.capacity(), 0u);
+  // The arena still serves the next instance.
+  const Instance ins = interval_instance(12);
+  EXPECT_EQ(solve_adaptive(ins, dense, sparse, cfg).cost,
+            SequentialSolver().solve(ins).cost);
+}
+
 TEST(FrontierPlanner, ForcedSparseThrowsOnPinnedBudget) {
   FrontierConfig cfg;
   cfg.max_states = 16;
@@ -359,6 +377,107 @@ TEST(FrontierPlanner, StateBudgetArithmetic) {
   // A pinned max_states wins over the byte budget.
   cfg.max_states = 77;
   EXPECT_EQ(cfg.state_budget(22), 77u);
+}
+
+/// The paper's five domain families (PAPER.md §1), one generator each.
+Instance domain_instance(int family, int k, util::Rng& rng) {
+  switch (family) {
+    case 0:
+      return medical_instance(k, k, rng);
+    case 1:
+      return machine_fault_instance(k, rng);
+    case 2:
+      return biology_key_instance(k, rng);
+    case 3:
+      return lab_analysis_instance(k, rng);
+    default:
+      return logistics_instance(k, rng);
+  }
+}
+
+/// The top three layers (U, layer k−1, layer k−2) hold at most
+/// 1 + k + C(k,2) states; the top-layer verdict comes after expanding the
+/// first two of them.
+std::size_t top_layers(int k) {
+  return static_cast<std::size_t>(1 + k + k * (k - 1) / 2);
+}
+
+TEST(FrontierPlanner, DomainFamiliesTakeTheTopLayerVerdict) {
+  // Every layer of these closures is fully reachable, so the planner goes
+  // dense as soon as layer k−2 is complete, long before the 2^k/8 cap.
+  const int k = 16;
+  const FrontierConfig cfg;
+  util::Rng rng(2026);
+  for (int family = 0; family < 5; ++family) {
+    SCOPED_TRACE("family " + std::to_string(family));
+    const Instance ins = domain_instance(family, k, rng);
+    FrontierArena probe;
+    const ClosureResult cr = expand_reachable(ins, cfg.state_budget(k), probe,
+                                              nullptr, /*top_check=*/true);
+    EXPECT_TRUE(cr.top_full);
+    EXPECT_LE(cr.expanded, top_layers(k));
+    EXPECT_LT(cr.states, cfg.state_budget(k));
+
+    SolveArena dense;
+    FrontierArena sparse;
+    const SolveResult res = solve_adaptive(ins, dense, sparse, cfg);
+    EXPECT_EQ(res.breakdown.get("frontier_fallback"), 1u);
+    EXPECT_EQ(res.breakdown.get("frontier_states"), 0u);
+    EXPECT_EQ(sparse.states, cr.states);
+    const SolveResult ref = SequentialSolver().solve(ins);
+    EXPECT_EQ(res.cost, ref.cost);  // bitwise
+    expect_same_tree(res.tree, ref.tree);
+  }
+}
+
+TEST(FrontierPlanner, RandomFamilyStaysSparseAndIdenticalOnR) {
+  util::Rng rng(77);
+  for (int k = 15; k <= 20; ++k) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    const Instance ins = random_instance(k, RandomOptions{}, rng);
+    SolveArena dense;
+    FrontierArena sparse;
+    const SolveResult res = solve_adaptive(ins, dense, sparse, FrontierConfig{});
+    EXPECT_EQ(res.breakdown.get("frontier_fallback"), 0u);
+    ASSERT_EQ(res.breakdown.get("frontier_states"), sparse.states);
+    const SolveResult ref = SequentialSolver().solve(ins);
+    EXPECT_EQ(res.cost, ref.cost);
+    expect_same_tree(res.tree, ref.tree);
+    for (std::size_t slot = 0; slot < sparse.states; ++slot) {
+      const auto mi = static_cast<std::size_t>(sparse.masks.data()[slot]);
+      ASSERT_EQ(sparse.cost.data()[slot], ref.table.cost[mi]) << "mask " << mi;
+      ASSERT_EQ(sparse.best.data()[slot], ref.table.best_action[mi])
+          << "mask " << mi;
+    }
+  }
+}
+
+TEST(FrontierPlanner, CrossoverOneNeverTakesTheTopLayerVerdict) {
+  // perfbench's reference solve forces the sparse path this way, and its
+  // k = 18 dense cross-check relies on it.
+  const int k = 12;
+  util::Rng rng(5);
+  const Instance ins = medical_instance(k, k, rng);
+  SolveArena dense;
+  FrontierArena sparse;
+  FrontierConfig forced;
+  forced.min_sparse_k = 0;
+  forced.dense_crossover = 1.0;
+  const SolveResult res = solve_adaptive(ins, dense, sparse, forced);
+  EXPECT_EQ(res.breakdown.get("frontier_fallback"), 0u);
+  EXPECT_GT(res.breakdown.get("frontier_states"), top_layers(k));
+  EXPECT_EQ(res.cost, SequentialSolver().solve(ins).cost);
+
+  // The default crossover takes the verdict on the same instance.
+  FrontierConfig cfg;
+  cfg.min_sparse_k = 0;
+  EXPECT_EQ(solve_adaptive(ins, dense, sparse, cfg)
+                .breakdown.get("frontier_fallback"),
+            1u);
+  FrontierArena probe;
+  EXPECT_TRUE(expand_reachable(ins, cfg.state_budget(k), probe, nullptr,
+                               /*top_check=*/true)
+                  .top_full);
 }
 
 }  // namespace
@@ -402,6 +521,38 @@ TEST(SvcFrontierAdmission, RejectNamesTheTrippedLimit) {
     EXPECT_NE(r.error.find("(sparse-budget)"), std::string::npos) << r.error;
   }
   EXPECT_EQ(svc.metrics().get("svc.sched.rejected_oversize"), 3u);
+}
+
+TEST(SvcFrontierAdmission, OverBudgetFailsOnlyItsOwnRequestInABatch) {
+  // The sparse-budget verdict now comes from the solve, inside a shared
+  // micro-batch: the ordinary request staged alongside must still get OK.
+  ServiceConfig cfg;
+  cfg.scheduler.autostart = false;  // stage both, then drain once
+  cfg.scheduler.max_k = 4;
+  cfg.scheduler.max_sparse_k = 12;
+  cfg.scheduler.sparse_budget_bytes = 64 * tt::kSparseBytesPerState;
+  Service svc(cfg);
+  Service::Pending over = svc.submit(tt::singleton_instance(11));
+  Service::Pending follower = svc.submit(tt::singleton_instance(11));
+  Service::Pending good = svc.submit(tt::fig1_example());
+  svc.scheduler().start();
+
+  const Response r = over.get();
+  EXPECT_EQ(r.status, Status::kRejectedOversize);
+  EXPECT_NE(r.error.find("(sparse-budget)"), std::string::npos) << r.error;
+  EXPECT_EQ(r.cache, CacheOutcome::kNone);
+  const Response f = follower.get();
+  EXPECT_EQ(f.status, Status::kRejectedOversize);
+  EXPECT_EQ(f.error, r.error);
+  const Response g = good.get();
+  ASSERT_TRUE(g.ok()) << g.error;
+  EXPECT_NEAR(g.cost, tt::SequentialSolver().solve(tt::fig1_example()).cost,
+              1e-9);
+
+  EXPECT_EQ(svc.metrics().get("svc.solve.batches"), 1u);
+  EXPECT_EQ(svc.metrics().get("svc.sched.rejected_oversize"), 1u);
+  EXPECT_EQ(svc.metrics().get("svc.solve.kernel_instances"), 1u);
+  EXPECT_EQ(svc.cache().size(), 1u);  // nothing cached for the reject
 }
 
 TEST(SvcFrontierAdmission, SparseTierAdmitsAndCountsFrontierSolves) {

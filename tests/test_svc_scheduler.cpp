@@ -133,6 +133,26 @@ TEST(SvcScheduler, SingleflightFollowersShareOneSolve) {
             static_cast<std::uint64_t>(kWaiters - 1));
 }
 
+TEST(SvcScheduler, SubmitAfterTheLeaderRetiredHitsTheCache) {
+  // A caller whose cache lookup missed just before the leader's insert,
+  // and whose submit lands after the leader retired, must not solve again.
+  SchedulerConfig cfg;
+  Rig rig(cfg);
+  const Canonical c = canon_of(tt::fig1_example());
+  const SolveOutcome first = rig.sched.submit(c).future.get();
+  ASSERT_EQ(first.status, Status::kOk) << first.error;
+
+  const Scheduler::Ticket again = rig.sched.submit(c);
+  EXPECT_TRUE(again.hit);
+  EXPECT_FALSE(again.leader);
+  const SolveOutcome out = again.future.get();
+  ASSERT_EQ(out.status, Status::kOk);
+  EXPECT_EQ(out.proc, first.proc);
+  EXPECT_EQ(rig.metrics.get("svc.solve.kernel_instances"), 1u);
+  EXPECT_EQ(rig.metrics.get("svc.sched.leaders"), 1u);
+  EXPECT_EQ(rig.metrics.get("svc.cache.misses"), 0u);
+}
+
 TEST(SvcScheduler, MicroBatchGroupsQueuedMisses) {
   SchedulerConfig cfg;
   cfg.autostart = false;

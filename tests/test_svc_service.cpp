@@ -144,9 +144,8 @@ TEST(SvcService, MalformedInstanceResolvesToError) {
 
 TEST(SvcService, UnnormalizableWeightsFailOnlyTheirOwnRequest) {
   // Both weights pass the per-weight check but their sum overflows, so the
-  // normalized weights would be 0. Rejected at admission, it must not reach
-  // the micro-batch: BatchSolver validates every instance first, and one
-  // bad instance there fails the whole batch.
+  // normalized weights would be 0. It is rejected at admission and never
+  // reaches the micro-batch, whose other request must still solve.
   ServiceConfig cfg;
   cfg.scheduler.autostart = false;  // stage both, then drain once
   Service svc(cfg);
