@@ -147,35 +147,26 @@ int Router::hedge_delay_ms() const {
 
 Router::Attempt Router::read_reply(Upstream& up,
                                    std::unique_ptr<svc::WireClient> conn) {
-  Attempt a;  // defaults to kTransport
   const int budget = cfg_.upstream.request_timeout_ms;
-  std::string head;
-  if (!conn->read_line(head, budget)) return a;
-  if (head.rfind("ERR ", 0) == 0) {
-    const std::size_t sp = head.find(' ', 4);
-    a.code = head.substr(4, sp == std::string::npos ? std::string::npos
-                                                    : sp - 4);
+  Attempt a;
+  std::string& reply = a.reply;
+  if (!conn->read_line(reply, budget)) return Attempt{};
+  if (reply.rfind("ERR ", 0) == 0) {
+    const std::size_t sp = reply.find(' ', 4);
+    a.code = reply.substr(4, sp == std::string::npos ? std::string::npos
+                                                     : sp - 4);
     a.kind = Attempt::Kind::kTypedErr;
-    a.reply = head + "\n";
-    up.release(std::move(conn));
-    return a;
-  }
-  if (head.rfind("OK", 0) == 0 || head == "TRACE") {
-    std::vector<std::string> body;
-    if (!conn->read_until("END", body, budget)) return a;
-    std::string reply = head;
     reply += '\n';
-    for (const std::string& l : body) {
-      reply += l;
-      reply += '\n';
-    }
-    reply += "END\n";
+  } else if (reply.rfind("OK", 0) == 0 || reply == "TRACE") {
+    // The head, then the body through END, in the one reply buffer.
+    reply += '\n';
+    if (!conn->read_until("END", reply, budget)) return Attempt{};
     a.kind = Attempt::Kind::kOk;
-    a.reply = std::move(reply);
-    up.release(std::move(conn));
-    return a;
+  } else {
+    return Attempt{};  // garbled head: protocol desync, a transport failure
   }
-  return a;  // garbled head: protocol desync, treat as transport failure
+  up.release(std::move(conn));
+  return a;
 }
 
 Router::Attempt Router::forward_once(Upstream& up, const std::string& frame) {
@@ -239,14 +230,18 @@ Router::Attempt Router::forward_hedged(Upstream& a, Upstream& b,
 }
 
 void Router::solve(std::istream& in, std::ostream& out,
-                   const svc::SessionOptions& opts) {
+                   const svc::SessionOptions& opts, std::string& frame) {
   obs::FlightRecord rec = svc::open_timeline(opts);
-  std::string blob;
-  if (!svc::read_solve_frame(in, out, opts, blob)) return;
+  // The body lands behind its SOLVE line in the session's buffer, which
+  // becomes the forwarded frame once END is appended.
+  constexpr std::string_view kSolveLine = "SOLVE\n";
+  frame.assign(kSolveLine);
+  if (!svc::read_solve_frame(in, out, opts, frame)) return;
   rec.mark(obs::Stage::kRead, obs::steady_now_ns());
   svc::CanonKey key;
   try {
-    const tt::Instance ins = tt::from_text(blob);
+    const tt::Instance ins =
+        tt::from_text(std::string_view(frame).substr(kSolveLine.size()));
     rec.mark(obs::Stage::kParse, obs::steady_now_ns());
     key = svc::canonicalize(ins).key;
   } catch (const std::exception& e) {
@@ -255,7 +250,7 @@ void Router::solve(std::istream& in, std::ostream& out,
     svc::write_err(out, "bad-request", e.what());
     return;
   }
-  const std::string frame = "SOLVE\n" + blob + "END\n";
+  frame += "END\n";
   const std::vector<std::size_t> order =
       ring_.replicas(key, upstreams_.size());
   std::vector<std::size_t> cands;

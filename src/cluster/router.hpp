@@ -13,7 +13,9 @@
 // Request handling per SOLVE:
 //
 //   1. Read the frame (shared read_solve_frame — same oversize and
-//      torn-frame behavior as ttp_serve), canonicalize, take the key.
+//      torn-frame behavior as ttp_serve) into the session's buffer, which
+//      becomes the forwarded frame; parse it, canonicalize, take the key.
+//      A frame the parser rejects is answered here, never forwarded.
 //   2. Walk the ring for distinct replicas, keep the routable ones.
 //   3. Forward to the primary over a pooled connection. Retryable
 //      failures — connect/transport errors, and the typed ERR codes
@@ -31,10 +33,10 @@
 //   5. Exhaustion relays the last typed backend error if any arrived,
 //      else the router's own "ERR upstream ...".
 //
-// Replies are relayed verbatim — cost, tree bytes, and the backend's
-// trace id pass through untouched, so a client cannot tell a router from
-// a single ttp_serve (and TRACE <id> still works: the router fans the
-// lookup out to the backends).
+// Replies are relayed verbatim, each read into one buffer — cost, tree
+// bytes, and the backend's trace id pass through untouched, so a client
+// cannot tell a router from a single ttp_serve (and TRACE <id> still
+// works: the router fans the lookup out to the backends).
 //
 // Each SOLVE answered with a relayed OK reply records its timeline
 // (obs/flight.hpp) in the router's stage summaries: read, parse, admit
@@ -128,7 +130,7 @@ class Router final : public svc::SessionHost, public svc::CommandHandler {
 
   // CommandHandler: one session's SOLVE/TRACE/STATS/METRICS/HEALTH.
   void solve(std::istream& in, std::ostream& out,
-             const svc::SessionOptions& opts) override;
+             const svc::SessionOptions& opts, std::string& frame) override;
   void trace(const std::string& arg, std::ostream& out) override;
   std::string stats_text() const override;
   std::string metrics_text() const override;

@@ -151,6 +151,17 @@ std::vector<std::string> WireClient::read_until(const std::string& terminator,
   return lines;
 }
 
+bool WireClient::read_until(const std::string& terminator, std::string& text,
+                            int timeout_ms) {
+  std::string line;
+  for (;;) {
+    if (!read_line(line, timeout_ms)) return false;
+    text += line;
+    text += '\n';
+    if (line == terminator) return true;
+  }
+}
+
 bool WireClient::poll_readable(int timeout_ms) {
   if (!connected()) return false;
   if (buf_->in_avail() > 0) return true;

@@ -68,6 +68,10 @@ class WireClient {
                   std::vector<std::string>& lines, int timeout_ms = -1);
   std::vector<std::string> read_until(const std::string& terminator,
                                       int timeout_ms = -1);
+  /// The same lines, terminator included, appended to `text` with '\n'
+  /// after each: a reply relayed in one buffer, not one string per line.
+  bool read_until(const std::string& terminator, std::string& text,
+                  int timeout_ms = -1);
 
   /// True when a read would not block: buffered bytes, readable fd, or a
   /// peer EOF/reset waiting to be observed. Slices at most `timeout_ms`.

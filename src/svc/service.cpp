@@ -33,7 +33,6 @@ std::string_view cache_outcome_name(CacheOutcome o) noexcept {
 Service::Service(ServiceConfig cfg)
     : flight_(cfg.telemetry.flight_capacity),
       slow_ms_(cfg.telemetry.slow_ms < 0 ? -1 : cfg.telemetry.slow_ms),
-      slow_log_path_(cfg.telemetry.slow_log),
       cfg_(cfg),
       cache_(std::make_unique<ProcedureCache>(cfg.cache, metrics_)),
       store_(cfg.store.dir.empty()
@@ -46,6 +45,9 @@ Service::Service(ServiceConfig cfg)
       malformed_(metrics_.counter("svc.requests.malformed")),
       slow_requests_(metrics_.counter("svc.slow_requests")) {
   if (store_ != nullptr) scheduler_->set_store(store_.get());
+  if (slow_ms_ >= 0 && !cfg.telemetry.slow_log.empty()) {
+    slow_log_.open(cfg.telemetry.slow_log, std::ios::app);
+  }
   for (std::size_t s = 0; s < kStatusCount; ++s) {
     responses_[s] = &metrics_.counter(
         "svc.responses." + std::string(status_name(static_cast<Status>(s))));
@@ -225,34 +227,37 @@ std::vector<TimelineField> timeline_fields(const obs::FlightRecord& rec) {
 }
 
 void Service::write_slow_capture(const obs::FlightRecord& rec) {
-  std::ostringstream line;
+  std::string line;
   char sep = '{';
   for (const TimelineField& f : timeline_fields(rec)) {
-    line << sep << '"' << f.key << "\":";
-    if (f.quoted) {
-      line << '"' << f.value << '"';
-    } else {
-      line << f.value;
-    }
+    line += sep;
+    line += '"';
+    line += f.key;
+    line += "\":";
+    if (f.quoted) line += '"';
+    line += f.value;
+    if (f.quoted) line += '"';
     sep = ',';
   }
   // The span tree, when tracing is on: everything recorded under this
   // trace ID, compact, inlined so one grep-able line tells the whole story.
-  line << ",\"spans\":[";
+  line += ",\"spans\":[";
   const auto spans = obs::tracer().snapshot_trace(rec.trace);
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    if (i != 0) line << ',';
-    obs::write_span_json(line, spans[i]);
+  if (!spans.empty()) {
+    std::ostringstream os;
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+      if (i != 0) os << ',';
+      obs::write_span_json(os, spans[i]);
+    }
+    line += os.str();
   }
-  line << "]}";
+  line += "]}\n";
 
+  // A file that failed to open drops its lines, as a failed stream does.
+  std::ostream& out = cfg_.telemetry.slow_log.empty() ? std::cerr : slow_log_;
   std::lock_guard<std::mutex> lock(slow_log_mu_);
-  if (slow_log_path_.empty()) {
-    std::cerr << line.str() << '\n';
-  } else {
-    std::ofstream out(slow_log_path_, std::ios::app);
-    if (out) out << line.str() << '\n';
-  }
+  out.write(line.data(), static_cast<std::streamsize>(line.size()));
+  out.flush();
 }
 
 std::string Service::stats_text() const {

@@ -22,6 +22,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <fstream>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -66,7 +67,8 @@ struct TelemetryConfig {
   /// latency reaches this dumps its timeline + span tree as one JSONL
   /// line. 0 captures everything; -1 turns capture off.
   int slow_ms = -1;
-  /// Where slow-request JSONL lines go; empty = stderr.
+  /// Where slow-request JSONL lines go; empty = stderr. The file is
+  /// opened once, in append mode, and each line is flushed whole.
   std::string slow_log;
   /// Flight-recorder ring size (rounded up to a power of two, min 8).
   std::size_t flight_capacity = 4096;
@@ -203,7 +205,9 @@ class Service {
   obs::FlightRecorder flight_;
   obs::StageSketches sketches_{obs::kServeStages};
   int slow_ms_ = -1;
-  std::string slow_log_path_;
+  /// The --slow-log file, opened once in append mode when the Service
+  /// starts (so rotating it needs copytruncate or a restart).
+  std::ofstream slow_log_;
   std::mutex slow_log_mu_;  ///< Serializes JSONL lines across requests.
   ServiceConfig cfg_;       ///< Kept for HEALTH (max_queue, capacity).
   std::unique_ptr<ProcedureCache> cache_;

@@ -10,10 +10,14 @@
 #include "obs/trace.hpp"
 #include "tt/serialize.hpp"
 #include "util/bits.hpp"
+#include "util/text.hpp"
 
 namespace ttp::svc {
 
 namespace {
+
+/// The most frame buffer a session keeps between SOLVEs.
+constexpr std::size_t kKeptFrameBytes = std::size_t{64} << 10;
 
 /// getline that strips a trailing '\r' so telnet/CRLF clients work.
 bool get_line(std::istream& in, std::string& line) {
@@ -37,12 +41,33 @@ std::string_view err_code(Status s) noexcept {
   return "internal";
 }
 
+/// Appends a tree's wire form (see tree_to_wire).
+void append_tree_wire(std::string& out, const tt::Tree& tree) {
+  out += "tree ";
+  util::append_int(out, tree.root());
+  out += '\n';
+  for (int i = 0; i < tree.size(); ++i) {
+    const tt::TreeNode& n = tree.node(i);
+    out += "node ";
+    util::append_int(out, i);
+    out += ' ';
+    util::append_int(out, n.action);
+    out += ' ';
+    util::append_int(out, n.yes);
+    out += ' ';
+    util::append_int(out, n.no);
+    out += ' ';
+    util::append_mask(out, n.state);
+    out += '\n';
+  }
+}
+
 /// ttp_serve's answers: every command against the one shared Service.
 class ServiceCommands final : public CommandHandler {
  public:
   explicit ServiceCommands(Service& svc) : svc_(svc) {}
-  void solve(std::istream& in, std::ostream& out,
-             const SessionOptions& opts) override;
+  void solve(std::istream& in, std::ostream& out, const SessionOptions& opts,
+             std::string& frame) override;
   void trace(const std::string& arg, std::ostream& out) override;
   std::string stats_text() const override { return svc_.stats_text(); }
   std::string metrics_text() const override { return svc_.metrics_text(); }
@@ -53,34 +78,25 @@ class ServiceCommands final : public CommandHandler {
 };
 
 void ServiceCommands::solve(std::istream& in, std::ostream& out,
-                            const SessionOptions& opts) {
+                            const SessionOptions& opts, std::string& frame) {
   obs::FlightRecord rec = open_timeline(opts);
-  std::string blob;
-  if (!read_solve_frame(in, out, opts, blob)) return;
+  frame.clear();
+  if (!read_solve_frame(in, out, opts, frame)) return;
   rec.mark(obs::Stage::kRead, obs::steady_now_ns());
   std::optional<tt::Instance> ins;
   try {
-    ins.emplace(tt::from_text(blob));
+    ins.emplace(tt::from_text(frame));
   } catch (const std::exception& e) {
     write_err(out, "bad-request", e.what());
     return;
   }
   rec.mark(obs::Stage::kParse, obs::steady_now_ns());
   const Response res = svc_.solve(*ins, rec);
-  std::string reply;
-  if (res.ok()) {
-    std::ostringstream os;
-    os.precision(17);
-    os << "OK cache=" << cache_outcome_name(res.cache) << " cost=" << res.cost
-       << " nodes=" << res.tree.size()
-       << " trace=" << obs::trace_hex(res.trace) << '\n'
-       << tree_to_wire(res.tree) << "END\n";
-    reply = os.str();
-  } else {
-    reply = err_line(err_code(res.status), res.error);
-  }
+  frame.clear();  // the instance owns its text now: reuse the buffer
+  append_solve_reply(frame, res);
   rec.mark(obs::Stage::kFormat, obs::steady_now_ns());
-  out << reply << std::flush;
+  out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
+  out.flush();
   rec.mark(obs::Stage::kWrite, obs::steady_now_ns());
   svc_.publish(rec);
 }
@@ -124,6 +140,24 @@ void write_err(std::ostream& out, std::string_view code,
   out << err_line(code, message) << std::flush;
 }
 
+void append_solve_reply(std::string& out, const Response& res) {
+  if (!res.ok()) {
+    out += err_line(err_code(res.status), res.error);
+    return;
+  }
+  out += "OK cache=";
+  out += cache_outcome_name(res.cache);
+  out += " cost=";
+  util::append_double(out, res.cost);
+  out += " nodes=";
+  util::append_int(out, res.tree.size());
+  out += " trace=";
+  out += obs::trace_hex(res.trace);
+  out += '\n';
+  append_tree_wire(out, res.tree);
+  out += "END\n";
+}
+
 obs::FlightRecord open_timeline(const SessionOptions& opts) {
   obs::FlightRecord rec;
   if (opts.control != nullptr) rec.start_ns = opts.control->command_start_ns();
@@ -132,33 +166,32 @@ obs::FlightRecord open_timeline(const SessionOptions& opts) {
 }
 
 bool read_solve_frame(std::istream& in, std::ostream& out,
-                      const SessionOptions& opts, std::string& blob) {
-  blob.clear();
+                      const SessionOptions& opts, std::string& frame) {
+  const std::size_t start = frame.size();
   std::string line;
   bool terminated = false;
   bool oversize = false;
-  std::size_t bytes = 0;
   while (get_line(in, line)) {
     if (line == "END") {
       terminated = true;
       break;
     }
     if (oversize) continue;  // discard the rest of the frame unbuffered
-    bytes += line.size() + 1;
-    if (opts.max_frame_bytes != 0 && bytes > opts.max_frame_bytes) {
+    if (opts.max_frame_bytes != 0 &&
+        frame.size() - start + line.size() + 1 > opts.max_frame_bytes) {
       // Reply before the frame finishes arriving: a hostile client gets its
       // verdict after max_frame_bytes, not after an arbitrarily large body.
       oversize = true;
-      blob.clear();
-      blob.shrink_to_fit();
+      frame.resize(start);
+      frame.shrink_to_fit();
       write_err(out, "oversize",
                 "SOLVE frame exceeds max-frame-bytes=" +
                     std::to_string(opts.max_frame_bytes) +
                     "; discarding until END");
       continue;
     }
-    blob += line;
-    blob += '\n';
+    frame += line;
+    frame += '\n';
   }
   if (oversize) return false;  // already replied; session stays in sync
   if (!terminated) {
@@ -174,14 +207,9 @@ bool read_solve_frame(std::istream& in, std::ostream& out,
 }
 
 std::string tree_to_wire(const tt::Tree& tree) {
-  std::ostringstream os;
-  os << "tree " << tree.root() << '\n';
-  for (int i = 0; i < tree.size(); ++i) {
-    const tt::TreeNode& n = tree.node(i);
-    os << "node " << i << ' ' << n.action << ' ' << n.yes << ' ' << n.no << ' '
-       << util::mask_to_string(n.state) << '\n';
-  }
-  return os.str();
+  std::string out;
+  append_tree_wire(out, tree);
+  return out;
 }
 
 tt::Tree tree_from_wire(const std::string& text) {
@@ -246,6 +274,7 @@ SessionResult serve_session(CommandHandler& handler, std::istream& in,
                             std::ostream& out, const SessionOptions& opts) {
   SessionResult result;
   std::string line;
+  std::string frame;  // the session's SOLVE frame buffer, kept across requests
   for (;;) {
     if (opts.control != nullptr && opts.control->should_end()) {
       result.end = SessionEnd::kStopped;
@@ -260,7 +289,10 @@ SessionResult serve_session(CommandHandler& handler, std::istream& in,
     if (opts.control != nullptr) opts.control->on_frame();
     ++result.handled;
     if (line == "SOLVE") {
-      handler.solve(in, out, opts);
+      handler.solve(in, out, opts, frame);
+      // Frames run ~1 KB; one near max_frame_bytes must not pin its
+      // buffer for the rest of an idle session.
+      if (frame.capacity() > kKeptFrameBytes) std::string().swap(frame);
     } else if (line == "STATS") {
       out << "STATS\n" << handler.stats_text() << "END\n" << std::flush;
     } else if (line == "METRICS") {

@@ -16,12 +16,17 @@
 //   quit     := "QUIT" NL
 //
 // where instance-text is the tt/serialize format (src/tt/serialize.hpp) —
-// the wire reuses the library serialization verbatim, including comments.
+// the wire reuses the library serialization verbatim, including comments
+// and its strict numbers: decimal or exponent form with an optional sign,
+// never hex, inf or nan, and nothing trailing a token or a line. A frame
+// that breaks it gets "ERR bad-request line N: ..." and the session goes on.
 //
 // Replies:
 //
 //   solve ok  := "OK cache=" outcome " cost=" float " nodes=" int
 //                " trace=" hex16 NL tree-text "END" NL
+//                (float: 17 significant digits, as util::append_double
+//                writes it)
 //   tree-text := "tree" int(root) NL node*          (see tree_to_wire)
 //   node      := "node" idx action yes no {state} NL
 //   solve err := "ERR " code " " message NL
@@ -105,6 +110,7 @@ struct SessionResult {
 /// Serializes a tree for the wire: "tree <root>\n" then one
 /// "node <idx> <action> <yes> <no> {state}\n" per node (indices as in
 /// Tree::nodes(), -1 for absent arcs). An empty tree is "tree -1\n".
+/// append_solve_reply writes the same text with the same appenders.
 std::string tree_to_wire(const tt::Tree& tree);
 
 /// Parses tree_to_wire output; throws std::invalid_argument on malformed
@@ -122,18 +128,24 @@ std::string err_line(std::string_view code, const std::string& message);
 void write_err(std::ostream& out, std::string_view code,
                const std::string& message);
 
+/// Appends a SOLVE's reply: for an ok response the "OK ..." head, its
+/// tree text and END, byte for byte what an ostream at precision(17)
+/// wrote; else its one-line ERR.
+void append_solve_reply(std::string& out, const Response& res);
+
 /// Opens a SOLVE's timeline where its read stage starts: when the transport
 /// saw the command's first bytes, or now when it cannot tell (stdio).
 obs::FlightRecord open_timeline(const SessionOptions& opts);
 
 /// Reads a SOLVE frame body (the lines after the "SOLVE" command, up to
-/// END) into `blob`, enforcing opts.max_frame_bytes with the early
+/// END, each '\n'-terminated with any '\r' stripped) onto the end of
+/// `frame`, enforcing opts.max_frame_bytes on the body with the early
 /// "ERR oversize" verdict + unbuffered discard-until-END. Returns true when
 /// the frame arrived complete and within budget; false when the caller must
 /// not process it (the oversize or bad-request reply was already written,
 /// or the transport cut the stream and owns the terminal line).
 bool read_solve_frame(std::istream& in, std::ostream& out,
-                      const SessionOptions& opts, std::string& blob);
+                      const SessionOptions& opts, std::string& frame);
 
 /// What a daemon answers the protocol's commands with. serve_session owns
 /// the command loop — framing, CRLF, transport hooks, PING, QUIT and the
@@ -142,9 +154,11 @@ bool read_solve_frame(std::istream& in, std::ostream& out,
 class CommandHandler {
  public:
   virtual ~CommandHandler() = default;
-  /// SOLVE; the frame body (up to END) is still unread on `in`.
+  /// SOLVE; the frame body (up to END) is still unread on `in`. `frame`
+  /// is the session's buffer, kept across its requests so a warm session
+  /// reads each frame and writes each reply without allocating.
   virtual void solve(std::istream& in, std::ostream& out,
-                     const SessionOptions& opts) = 0;
+                     const SessionOptions& opts, std::string& frame) = 0;
   /// TRACE <arg>.
   virtual void trace(const std::string& arg, std::ostream& out) = 0;
   /// The STATS, METRICS and HEALTH payloads (between the verb and END).

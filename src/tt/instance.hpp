@@ -45,6 +45,8 @@ class Instance {
   /// convention (tests 0..m-1, treatments m..N-1).
   int add_test(Mask set, double cost, std::string name = "");
   int add_treatment(Mask set, double cost, std::string name = "");
+  /// Room for `n` actions, for a parser that knows the count up front.
+  void reserve_actions(std::size_t n) { actions_.reserve(n); }
 
   int k() const noexcept { return k_; }
   int num_actions() const noexcept { return static_cast<int>(actions_.size()); }

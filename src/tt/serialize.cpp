@@ -1,79 +1,152 @@
 #include "tt/serialize.hpp"
 
+#include <array>
+#include <cstring>
 #include <fstream>
-#include <sstream>
+#include <iterator>
 #include <stdexcept>
+
+#include "util/text.hpp"
 
 namespace ttp::tt {
 
-void write_text(std::ostream& os, const Instance& ins) {
-  os.precision(17);  // lossless double round-trip
-  os << "tt " << ins.k() << "\n";
-  os << "weights";
-  for (int j = 0; j < ins.k(); ++j) os << ' ' << ins.weight(j);
-  os << "\n";
-  for (const Action& a : ins.actions()) {
-    os << (a.is_test ? "test " : "treat ") << a.name << ' '
-       << util::mask_to_string(a.set) << ' ' << a.cost << "\n";
-  }
-}
-
 std::string to_text(const Instance& ins) {
-  std::ostringstream os;
-  write_text(os, ins);
-  return os.str();
+  std::string out = "tt ";
+  util::append_int(out, ins.k());
+  out += "\nweights";
+  for (const double w : ins.weights()) {
+    out += ' ';
+    util::append_double(out, w);  // lossless double round-trip
+  }
+  out += '\n';
+  for (const Action& a : ins.actions()) {
+    out += a.is_test ? "test " : "treat ";
+    out += a.name;
+    out += ' ';
+    util::append_mask(out, a.set);
+    out += ' ';
+    util::append_double(out, a.cost);
+    out += '\n';
+  }
+  return out;
 }
 
-Instance read_text(std::istream& is) {
-  std::string line;
+namespace {
+
+/// Byte classes of the instance text: the C locale's isspace set (space,
+/// \t, \n, \v, \f, \r) separates tokens, and '#' ends a line's content.
+enum ByteClass : unsigned char { kTokenByte, kSpaceByte, kCommentByte };
+
+constexpr std::array<ByteClass, 256> kByteClass = [] {
+  std::array<ByteClass, 256> table{};
+  for (const char c : {' ', '\t', '\n', '\v', '\f', '\r'}) {
+    table[static_cast<unsigned char>(c)] = kSpaceByte;
+  }
+  table[static_cast<unsigned char>('#')] = kCommentByte;
+  return table;
+}();
+
+/// Splits one line into whitespace-separated tokens, left to right, up to
+/// its first '#'.
+class Tokens {
+ public:
+  explicit Tokens(std::string_view line) noexcept
+      : at_(line.data()), end_(line.data() + line.size()) {}
+
+  /// The next token; an empty view once the line is used up.
+  std::string_view next() noexcept {
+    while (at_ != end_ && class_of(*at_) == kSpaceByte) ++at_;
+    if (at_ != end_ && class_of(*at_) == kCommentByte) at_ = end_;
+    const char* start = at_;
+    while (at_ != end_ && class_of(*at_) == kTokenByte) ++at_;
+    return {start, static_cast<std::size_t>(at_ - start)};
+  }
+
+ private:
+  static ByteClass class_of(char c) noexcept {
+    return kByteClass[static_cast<unsigned char>(c)];
+  }
+
+  const char* at_;
+  const char* end_;
+};
+
+[[noreturn]] void fail_line(int lineno, const std::string& what) {
+  throw std::invalid_argument("line " + std::to_string(lineno) + ": " + what);
+}
+
+std::string quoted(std::string_view tok) {
+  return "'" + std::string(tok) + "'";
+}
+
+}  // namespace
+
+Instance from_text(std::string_view text) {
   int lineno = 0;
   int k = -1;
   std::vector<double> weights;
   struct Pending {
     bool is_test;
-    std::string name;
+    std::string_view name;
     Mask set;
     double cost;
   };
   std::vector<Pending> pending;
+  pending.reserve(64);
 
-  while (std::getline(is, line)) {
+  while (!text.empty()) {
     ++lineno;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line = line.substr(0, hash);
-    std::istringstream ls(line);
-    std::string kw;
-    if (!(ls >> kw)) continue;
+    const void* nl = std::memchr(text.data(), '\n', text.size());
+    const std::size_t len =
+        nl == nullptr ? text.size()
+                      : static_cast<std::size_t>(static_cast<const char*>(nl) -
+                                                 text.data());
+    Tokens toks(text.substr(0, len));
+    text.remove_prefix(nl == nullptr ? len : len + 1);
+    const std::string_view kw = toks.next();
+    if (kw.empty()) continue;
     if (kw == "tt") {
-      if (!(ls >> k)) {
-        throw std::invalid_argument("line " + std::to_string(lineno) +
-                                    ": expected 'tt <k>'");
+      const std::string_view tok = toks.next();
+      if (!util::parse_int(tok, k)) {
+        fail_line(lineno, tok.empty() ? "expected 'tt <k>'"
+                                      : "expected 'tt <k>', got k " +
+                                            quoted(tok));
+      }
+      if (k > 0 && k <= kMaxUniverse) {
+        weights.reserve(static_cast<std::size_t>(k));
       }
     } else if (kw == "weights") {
-      double w;
-      while (ls >> w) weights.push_back(w);
-    } else if (kw == "test" || kw == "treat") {
-      if (k < 0) {
-        throw std::invalid_argument("line " + std::to_string(lineno) +
-                                    ": action before 'tt <k>' header");
+      for (std::string_view tok = toks.next(); !tok.empty();
+           tok = toks.next()) {
+        double w;
+        if (!util::parse_double(tok, w)) {
+          fail_line(lineno, "weight " + quoted(tok) + " is not a number");
+        }
+        weights.push_back(w);
       }
+    } else if (kw == "test" || kw == "treat") {
+      if (k < 0) fail_line(lineno, "action before 'tt <k>' header");
       Pending p;
       p.is_test = kw == "test";
-      std::string set_tok;
-      if (!(ls >> p.name >> set_tok >> p.cost)) {
-        throw std::invalid_argument("line " + std::to_string(lineno) +
-                                    ": expected '<name> {set} <cost>'");
+      p.name = toks.next();
+      const std::string_view set_tok = toks.next();
+      const std::string_view cost_tok = toks.next();
+      if (cost_tok.empty()) fail_line(lineno, "expected '<name> {set} <cost>'");
+      if (!util::parse_double(cost_tok, p.cost)) {
+        fail_line(lineno, "expected '<name> {set} <cost>', got cost " +
+                              quoted(cost_tok));
       }
       try {
         p.set = util::mask_from_string(set_tok, k);
       } catch (const std::invalid_argument& e) {
-        throw std::invalid_argument("line " + std::to_string(lineno) + ": " +
-                                    e.what());
+        fail_line(lineno, e.what());
       }
-      pending.push_back(std::move(p));
+      pending.push_back(p);
     } else {
-      throw std::invalid_argument("line " + std::to_string(lineno) +
-                                  ": unknown keyword '" + kw + "'");
+      fail_line(lineno, "unknown keyword " + quoted(kw));
+    }
+    if (const std::string_view extra = toks.next(); !extra.empty()) {
+      fail_line(lineno, "unexpected " + quoted(extra) + " at end of line");
     }
   }
   if (k < 0) throw std::invalid_argument("missing 'tt <k>' header");
@@ -83,33 +156,32 @@ Instance read_text(std::istream& is) {
                                 std::to_string(weights.size()));
   }
   Instance ins(k, std::move(weights));
+  ins.reserve_actions(pending.size());
   for (const Pending& p : pending) {
     if (p.is_test) {
-      ins.add_test(p.set, p.cost, p.name);
+      ins.add_test(p.set, p.cost, std::string(p.name));
     } else {
-      ins.add_treatment(p.set, p.cost, p.name);
+      ins.add_treatment(p.set, p.cost, std::string(p.name));
     }
   }
   ins.check();
   return ins;
 }
 
-Instance from_text(const std::string& text) {
-  std::istringstream is(text);
-  return read_text(is);
-}
-
 void save_file(const std::string& path, const Instance& ins) {
   std::ofstream os(path);
   if (!os) throw std::runtime_error("cannot open for writing: " + path);
-  write_text(os, ins);
+  os << to_text(ins);
   if (!os) throw std::runtime_error("write failed: " + path);
 }
 
 Instance load_file(const std::string& path) {
   std::ifstream is(path);
   if (!is) throw std::runtime_error("cannot open: " + path);
-  return read_text(is);
+  // The whole file, then the one scanner.
+  const std::string text{std::istreambuf_iterator<char>(is),
+                         std::istreambuf_iterator<char>()};
+  return from_text(text);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-// Plain-text serialization of TT instances, for tooling and data exchange:
+// Plain-text serialization of TT instances, for tooling, data exchange and
+// the wire's SOLVE frames:
 //
 //   # medical example
 //   tt 4
@@ -8,13 +9,28 @@
 //   treat cureA  {0}     2.0
 //
 // Order of actions is preserved within each kind; '#' starts a comment.
+// Lines end in '\n' (a '\r' before it is whitespace); tokens split on the
+// C locale's isspace set (space, \t, \n, \v, \f, \r).
+//
+// The grammar is strict: every token is read whole, and nothing may trail
+// a line's last token.
+// - k is a decimal int with an optional sign ("tt 2.5" is an error).
+// - Weights and costs are decimal or exponent form with an optional sign,
+//   '+' included: "1", ".5", "+2e-3" and subnormals such as "4e-320" parse.
+//   Hex ("0x1p3"), inf, nan, partial numbers ("0.5x") and values that
+//   underflow to 0 ("1e-400") or overflow are errors.
+// - An action line is exactly "<test|treat> <name> {set} <cost>".
 // Sets are parsed by util::mask_from_string, the same parser the wire's
 // tree text uses. The serving layer's canonical form (action order,
 // normalized weights, key) lives in svc/canon, not here.
+//
+// from_text is one forward scan over the bytes: memchr splits the lines,
+// std::from_chars reads the numbers (util/text.hpp), and no stream is
+// built. to_text writes each double with 17 significant digits, so a
+// to_text -> from_text round trip is bitwise.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <string_view>
 
@@ -27,14 +43,14 @@ namespace ttp::tt {
 /// solvers — ties break toward the lowest action index — so the default
 /// serialization never reorders).
 std::string to_text(const Instance& ins);
-void write_text(std::ostream& os, const Instance& ins);
 
-/// Parses the text form; throws std::invalid_argument with a line-numbered
-/// message on malformed input.
-Instance from_text(const std::string& text);
-Instance read_text(std::istream& is);
+/// Parses the text form; throws std::invalid_argument on malformed input,
+/// with a "line N: " message for every error a single line causes, and
+/// ends in Instance::check().
+Instance from_text(std::string_view text);
 
-/// File helpers (throw std::runtime_error on I/O failure).
+/// File helpers (throw std::runtime_error on I/O failure); load_file reads
+/// the whole file, then parses it with from_text.
 void save_file(const std::string& path, const Instance& ins);
 Instance load_file(const std::string& path);
 

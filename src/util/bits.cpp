@@ -46,17 +46,20 @@ std::vector<Mask> layer_subsets(int k, int j) {
   return out;
 }
 
-std::string mask_to_string(Mask m) {
-  std::string s = "{";
-  bool first = true;
-  for (int b = 0; b < 32; ++b) {
-    if (has_bit(m, b)) {
-      if (!first) s += ',';
-      s += std::to_string(b);
-      first = false;
-    }
+void append_mask(std::string& out, Mask m) {
+  out += '{';
+  for (bool first = true; m != 0; m &= m - 1, first = false) {
+    const int b = std::countr_zero(m);
+    if (!first) out += ',';
+    if (b >= 10) out += static_cast<char>('0' + b / 10);
+    out += static_cast<char>('0' + b % 10);
   }
-  s += '}';
+  out += '}';
+}
+
+std::string mask_to_string(Mask m) {
+  std::string s;
+  append_mask(s, m);
   return s;
 }
 
@@ -66,29 +69,36 @@ Mask mask_from_string(std::string_view tok, int width) {
                                 std::string(tok) + "'");
   }
   const int limit = std::clamp(width, 0, 32);
+  const std::string_view inner = tok.substr(1, tok.size() - 2);
+  const auto piece = [&](std::size_t start) {
+    return std::string(inner.substr(start, inner.find(',', start) - start));
+  };
   Mask m = 0;
-  std::string_view rest = tok.substr(1, tok.size() - 2);
-  while (!rest.empty()) {
-    const std::size_t comma = rest.find(',');
-    const std::string_view piece = rest.substr(0, comma);
-    rest = comma == std::string_view::npos ? std::string_view{}
-                                           : rest.substr(comma + 1);
-    if (piece.empty()) continue;
-    int v = 0;
-    for (const char c : piece) {
-      if (c < '0' || c > '9') {
-        throw std::invalid_argument("set element '" + std::string(piece) +
-                                    "' is not a decimal index");
+  std::size_t start = 0;  // where the current element began
+  int v = 0;
+  // One pass: digits accumulate, and a ',' or the closing brace ends an
+  // element (empty elements are skipped).
+  for (std::size_t i = 0; i <= inner.size(); ++i) {
+    if (i == inner.size() || inner[i] == ',') {
+      if (i > start) {
+        if (v >= limit) {
+          throw std::invalid_argument("set element '" + piece(start) +
+                                      "' outside universe [0, " +
+                                      std::to_string(limit) + ")");
+        }
+        m |= bit(v);
       }
-      // Saturates once out of range, so a long digit run cannot overflow.
-      if (v < limit) v = v * 10 + (c - '0');
+      start = i + 1;
+      v = 0;
+      continue;
     }
-    if (v >= limit) {
-      throw std::invalid_argument("set element '" + std::string(piece) +
-                                  "' outside universe [0, " +
-                                  std::to_string(limit) + ")");
+    const char c = inner[i];
+    if (c < '0' || c > '9') {
+      throw std::invalid_argument("set element '" + piece(start) +
+                                  "' is not a decimal index");
     }
-    m |= bit(v);
+    // Saturates once out of range, so a long digit run cannot overflow.
+    if (v < limit) v = v * 10 + (c - '0');
   }
   return m;
 }

@@ -63,7 +63,11 @@ std::vector<Mask> all_subsets(Mask space);
 /// All subsets of {0..k-1} with exactly `j` bits, ascending.
 std::vector<Mask> layer_subsets(int k, int j);
 
-/// Render a mask as "{a,b,c}" (ascending elements), "{}" if empty.
+/// Appends the "{a,b,c}" form of a mask (ascending elements), "{}" if
+/// empty.
+void append_mask(std::string& out, Mask m);
+
+/// The "{a,b,c}" form as a string (append_mask onto an empty one).
 std::string mask_to_string(Mask m);
 
 /// Parses the "{a,b,...}" form (any element order, empty elements skipped)

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "tt/generator.hpp"
 #include "tt/serialize.hpp"
@@ -121,6 +124,64 @@ TEST(Serialize, ErrorsCarryLineNumbers) {
   // The whole element must be a decimal: "{1x}" is not the set {1}.
   expect_error("tt 2\nweights 1 1\ntest t {1x} 1\n", "not a decimal");
   expect_error("treat t {0} 1\n", "before 'tt");
+}
+
+// The stream parser read each number as far as it could and ignored what
+// followed, so every input below used to parse into a silently changed
+// instance. Each is now a line-numbered error.
+TEST(Serialize, RejectsPartialNumbersAndTrailingTokens) {
+  const std::string head = "tt 2\nweights 0.5 0.5\n";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"tt 2\nweights 0.5 0.5x\ntreat b {0,1} 1\n", "line 2: weight '0.5x'"},
+      {head + "treat b {0,1} 1.5junk\n", "line 3: expected '<name> {set} <cost>', got cost '1.5junk'"},
+      {head + "treat b {0,1} 0x1p3\n", "line 3: expected '<name> {set} <cost>', got cost '0x1p3'"},
+      {head + "treat b {0,1} 1e-400\n", "line 3: expected '<name> {set} <cost>', got cost '1e-400'"},
+      {head + "treat b {0,1} 1.0 extra\n", "line 3: unexpected 'extra' at end of line"},
+      {"tt 2.5\nweights 0.5 0.5\ntreat b {0,1} 1\n", "line 1: expected 'tt <k>', got k '2.5'"},
+      {"tt 2 3\nweights 0.5 0.5\ntreat b {0,1} 1\n", "line 1: unexpected '3'"},
+      {"tt 2\nweights 1 1 nan\ntreat b {0,1} 1\n", "line 2: weight 'nan'"},
+      // from_chars alone would take these; an inf cost would even pass
+      // Instance::check(), which only tests !(cost >= 0).
+      {head + "treat b {0,1} inf\n", "line 3: expected '<name> {set} <cost>'"},
+      {head + "treat b {0,1} +infinity\n", "line 3: expected '<name> {set} <cost>'"},
+      {head + "treat b {0,1} nan\n", "line 3: expected '<name> {set} <cost>'"},
+      {head + "treat b {0,1} 1e400\n", "line 3: expected '<name> {set} <cost>'"},
+      {head + "treat b {0,1} +-1\n", "line 3: expected '<name> {set} <cost>'"},
+  };
+  for (const auto& [text, needle] : cases) {
+    try {
+      (void)from_text(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << e.what() << "\n  for: " << text;
+    }
+  }
+}
+
+// Everything the stream parser rightly accepted still parses, to the same
+// bits: a leading '+', exponents, ".5", subnormals, CRLF, tabs, comments.
+TEST(Serialize, AcceptsEveryNumberSpellingTheStreamParserRead) {
+  const Instance ins = from_text(
+      "# header comment\r\n"
+      "tt\t+2\r\n"
+      "weights +.5 5E-1\t# trailing comment\r\n"
+      "\r\n"
+      "test\tprobe {0} 4e-320\r\n"
+      "treat fix\v{0,1}\f+1.25e+2\r\n"
+      "treat fix2 {1} 5.\n"
+      "treat zero {1} 0\n");
+  ASSERT_EQ(ins.k(), 2);
+  EXPECT_EQ(ins.weight(0), 0.5);
+  EXPECT_EQ(ins.weight(1), 0.5);
+  ASSERT_EQ(ins.num_actions(), 4);
+  EXPECT_EQ(ins.action(0).name, "probe");
+  EXPECT_EQ(ins.action(0).cost, 4e-320);  // subnormal, not flushed to 0
+  EXPECT_GT(ins.action(0).cost, 0.0);
+  EXPECT_EQ(ins.action(1).set, 0b11u);
+  EXPECT_EQ(ins.action(1).cost, 125.0);
+  EXPECT_EQ(ins.action(2).cost, 5.0);
+  EXPECT_EQ(ins.action(3).cost, 0.0);
 }
 
 TEST(Serialize, FileRoundTrip) {

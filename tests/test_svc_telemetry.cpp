@@ -434,6 +434,48 @@ TEST(SvcTelemetry, SlowCaptureIncludesSpanTreeWhenTracingOn) {
   std::remove(log.c_str());
 }
 
+TEST(SvcTelemetry, SlowCaptureWritesOneWholeLinePerRequest) {
+  const std::string log = ::testing::TempDir() + "/ttp_slow_lines.jsonl";
+  // The file is opened in append mode: earlier content survives.
+  { std::ofstream(log) << "{\"earlier\":1}\n"; }
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 25;
+  {
+    ServiceConfig cfg;
+    cfg.telemetry.slow_ms = 0;
+    cfg.telemetry.slow_log = log;
+    Service svc(cfg);
+    const std::vector<Instance> pool = distinct_instances(8, 5);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int i = 0; i < kPerThread; ++i) {
+          const std::size_t pick = static_cast<std::size_t>(t + i) % pool.size();
+          EXPECT_TRUE(svc.solve(pool[pick]).ok());
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    EXPECT_EQ(svc.metrics().get("svc.slow_requests"),
+              static_cast<std::uint64_t>(kThreads * kPerThread));
+  }
+  std::ifstream in(log);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 1u + kThreads * kPerThread);
+  EXPECT_EQ(lines[0], "{\"earlier\":1}");
+  for (std::size_t i = 1; i < lines.size(); ++i) {
+    // Whole and untorn: one record per line, from "trace" to the spans.
+    const std::string& l = lines[i];
+    EXPECT_EQ(l.rfind("{\"trace\":\"", 0), 0u) << l;
+    const std::size_t e2e = l.find("\"e2e_us\":");
+    ASSERT_NE(e2e, std::string::npos) << l;
+    EXPECT_EQ(l.find("\"e2e_us\":", e2e + 1), std::string::npos) << l;
+    EXPECT_EQ(l.compare(l.size() - 2, 2, "]}"), 0) << l;
+  }
+  std::remove(log.c_str());
+}
+
 TEST(SvcTelemetry, SlowCaptureDisabledByDefault) {
   Service svc;  // slow_ms defaults to -1: capture off
   EXPECT_EQ(svc.slow_threshold_ms(), -1);

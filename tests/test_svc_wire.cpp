@@ -142,6 +142,15 @@ TEST(SvcWire, ProtocolErrorsAreRepliesNotExceptions) {
   const std::string overflow = session(
       svc, "SOLVE\ntt 2\nweights 1e308 1e308\ntreat t {0,1} 1\nEND\n");
   EXPECT_EQ(overflow.rfind("ERR bad-request", 0), 0u) << overflow;
+  // A partial number is an error with its line, not a silently truncated
+  // weight, and the same session then solves normally.
+  const auto strict = lines_of(session(
+      svc, "SOLVE\ntt 2\nweights 0.5 0.5x\ntreat t {0,1} 1\nEND\n" +
+               solve_frame(tt::fig1_example())));
+  ASSERT_GE(strict.size(), 2u);
+  EXPECT_EQ(strict[0].rfind("ERR bad-request line 2: weight '0.5x'", 0), 0u)
+      << strict[0];
+  EXPECT_EQ(strict[1].rfind("OK cache=", 0), 0u) << strict[1];
   // The daemon keeps serving after an error.
   EXPECT_NE(session(svc, "JUNK\nPING\n").find("PONG"), std::string::npos);
 }
