@@ -33,7 +33,8 @@
 //   host          CPU model, logical CPU count and compiler of the run
 //
 // kernel, obs and host are provenance stamps: tools/bench_compare.py keys
-// on (bench, args, k, N, variant) and ignores them.
+// on (bench, args, k, N, variant), and refuses two files whose host stamps
+// differ or are missing.
 //
 // Aggregate runs (--benchmark_repetitions aggregates) are skipped: records
 // hold raw per-run numbers, and tools/bench_compare.py does the judging.

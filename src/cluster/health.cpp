@@ -1,5 +1,3 @@
-#ifndef _WIN32
-
 #include "cluster/health.hpp"
 
 #include <chrono>
@@ -88,5 +86,3 @@ void HealthProber::run() {
 }
 
 }  // namespace ttp::cluster
-
-#endif  // !_WIN32

@@ -17,8 +17,6 @@
 // operator watching METRICS sees membership churn without log-diving.
 #pragma once
 
-#ifndef _WIN32
-
 #include <condition_variable>
 #include <memory>
 #include <mutex>
@@ -80,5 +78,3 @@ class HealthProber {
 };
 
 }  // namespace ttp::cluster
-
-#endif  // !_WIN32

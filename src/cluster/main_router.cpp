@@ -5,14 +5,15 @@
 //
 // Speaks the ttp_serve wire protocol on the front, routes each SOLVE by
 // its canonical content key over a consistent-hash ring of backends, with
-// health-probe ejection, retry-on-next-replica failover, and optional
-// hedged requests. Architecture and failure semantics: docs/cluster.md.
+// health-probe ejection and retry-on-next-replica failover. The Router is
+// the one CommandHandler both modes run: serve_session over stdio, or the
+// shared svc::Server session pool over TCP. Architecture and failure
+// semantics: docs/cluster.md.
 //
 // Knobs (defaults in parentheses; all values range-checked at startup):
 //   --backend=HOST:PORT  a ttp_serve backend; repeat per backend (required)
 //   --vnodes=N           ring points per backend (128)
 //   --retries=N          extra replicas tried per SOLVE (2)
-//   --hedge-ms=N         hedge delay ceiling, 0 = no hedging (0)
 //   --connect-timeout-ms=N  per-dial budget (1000)
 //   --request-timeout-ms=N  per forwarded reply budget (5000)
 //   --pool-size=N        idle connections kept per backend (8)
@@ -41,7 +42,7 @@ namespace {
   std::cout
       << "usage: ttp_router --backend=HOST:PORT [--backend=HOST:PORT ...]\n"
          "                  [--port=N] [--vnodes=N] [--retries=N]\n"
-         "                  [--hedge-ms=N] [--connect-timeout-ms=N]\n"
+         "                  [--connect-timeout-ms=N]\n"
          "                  [--request-timeout-ms=N] [--pool-size=N]\n"
          "                  [--max-idle-ms=N] [--probe-interval-ms=N]\n"
          "                  [--probe-timeout-ms=N] [--eject-after=N]\n"
@@ -53,8 +54,6 @@ namespace {
   std::exit(code);
 }
 
-#ifndef _WIN32
-
 std::atomic<ttp::svc::Server*> g_server{nullptr};
 
 void on_shutdown_signal(int) {
@@ -63,14 +62,10 @@ void on_shutdown_signal(int) {
   }
 }
 
-#endif  // !_WIN32
-
 }  // namespace
 
 int main(int argc, char** argv) {
-#ifndef _WIN32
   std::signal(SIGPIPE, SIG_IGN);
-#endif
   ttp::cluster::RouterArgs args;
   std::string error;
   if (!ttp::cluster::parse_router_args(argc, argv, args, error)) {
@@ -78,14 +73,14 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (args.help) usage(0);
-#ifndef _WIN32
   try {
     ttp::cluster::Router router(args.backends, args.cfg);
     router.start_prober();
     if (args.port < 0) {
       ttp::svc::SessionOptions opts;
       opts.max_frame_bytes = args.server.max_frame_bytes;
-      const auto result = router.serve(std::cin, std::cout, opts);
+      const auto result =
+          ttp::svc::serve_session(router, std::cin, std::cout, opts);
       std::cerr << "ttp_router: session closed after " << result.handled
                 << " commands\n";
       return 0;
@@ -109,8 +104,4 @@ int main(int argc, char** argv) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
   }
-#else
-  std::cerr << "error: ttp_router is not supported on this platform\n";
-  return 1;
-#endif
 }

@@ -4,7 +4,7 @@
 // its *name* ("host:port#<vnode>") through the same svc::hash128 the
 // canonical content key uses. A request lands at the first point clockwise
 // from its CanonKey position; walking further yields distinct fallback
-// replicas for retry and hedging.
+// replicas for retry.
 //
 // Properties the tests (tests/test_cluster_ring.cpp) pin down:
 //

@@ -1,8 +1,15 @@
 #include "cluster/router.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <istream>
+#include <ostream>
 #include <sstream>
 #include <stdexcept>
+
+#include "obs/prom.hpp"
+#include "svc/wire.hpp"
+#include "tt/serialize.hpp"
 
 namespace ttp::cluster {
 
@@ -17,9 +24,6 @@ bool parse_router_args(int argc, const char* const* argv, RouterArgs& args,
            [&](long v) { c.vnodes = static_cast<int>(v); }},
           {"--retries", 0, 16,
            [&](long v) { c.retries = static_cast<int>(v); }},
-          {"--hedge-ms", 0, 60'000,
-           [&](long v) { c.hedge_ms = static_cast<int>(v); }},
-#ifndef _WIN32
           {"--connect-timeout-ms", 1, 600'000,
            [&](long v) {
              c.upstream.connect_timeout_ms = static_cast<int>(v);
@@ -44,7 +48,6 @@ bool parse_router_args(int argc, const char* const* argv, RouterArgs& args,
            [&](long v) { c.health.eject_after = static_cast<int>(v); }},
           {"--readmit-after", 1, 1000,
            [&](long v) { c.health.readmit_after = static_cast<int>(v); }},
-#endif  // !_WIN32
       });
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -76,24 +79,6 @@ bool parse_router_args(int argc, const char* const* argv, RouterArgs& args,
   return true;
 }
 
-}  // namespace ttp::cluster
-
-#ifndef _WIN32
-
-#include <poll.h>
-
-#include <algorithm>
-#include <cerrno>
-#include <istream>
-#include <ostream>
-
-#include "obs/flight.hpp"
-#include "obs/prom.hpp"
-#include "svc/wire.hpp"
-#include "tt/serialize.hpp"
-
-namespace ttp::cluster {
-
 namespace {
 
 std::vector<std::unique_ptr<Upstream>> make_upstreams(
@@ -118,8 +103,6 @@ Router::Router(std::vector<std::string> backends, RouterConfig cfg)
       ring_(backends, cfg.vnodes),
       routed_(metrics_.counter("cluster.routed")),
       retried_(metrics_.counter("cluster.retried")),
-      hedged_(metrics_.counter("cluster.hedged")),
-      hedge_wins_(metrics_.counter("cluster.hedge_wins")),
       upstream_errors_(metrics_.counter("cluster.upstream_errors")) {
   std::vector<Upstream*> probe_targets;
   probe_targets.reserve(upstreams_.size());
@@ -135,14 +118,6 @@ bool Router::retryable_code(const std::string& code) noexcept {
   // to replay on another replica. bad-request/oversize/internal are
   // deterministic — every backend would answer the same.
   return code == "cancelled" || code == "overload" || code == "timeout";
-}
-
-int Router::hedge_delay_ms() const {
-  if (cfg_.hedge_ms <= 0) return 0;
-  const obs::QuantileSnapshot snap = sketches_.snapshot(obs::Stage::kUpstream);
-  if (snap.count() < 64) return cfg_.hedge_ms;
-  const int p95_ms = static_cast<int>(snap.quantile(0.95) / 1'000'000);
-  return std::min(cfg_.hedge_ms, std::max(1, p95_ms));
 }
 
 Router::Attempt Router::read_reply(Upstream& up,
@@ -174,59 +149,6 @@ Router::Attempt Router::forward_once(Upstream& up, const std::string& frame) {
   if (conn == nullptr) return Attempt{};
   if (!conn->send(frame)) return Attempt{};
   return read_reply(up, std::move(conn));
-}
-
-Router::Attempt Router::forward_hedged(Upstream& a, Upstream& b,
-                                       const std::string& frame) {
-  std::unique_ptr<svc::WireClient> c1 = a.acquire();
-  if (c1 == nullptr || !c1->send(frame)) return Attempt{};
-  if (c1->poll_readable(hedge_delay_ms())) {
-    return read_reply(a, std::move(c1));
-  }
-  // The primary is slow; launch the duplicate and take whichever replica
-  // completes a reply first. The loser's connection is discarded (its
-  // reply is still in flight, so it can never go back to the pool).
-  hedged_.add(1);
-  std::unique_ptr<svc::WireClient> c2 = b.acquire();
-  if (c2 == nullptr || !c2->send(frame)) {
-    return read_reply(a, std::move(c1));  // hedge failed to launch
-  }
-  const std::int64_t deadline =
-      obs::steady_now_ns() +
-      static_cast<std::int64_t>(cfg_.upstream.request_timeout_ms) *
-          1'000'000;
-  while (c1 != nullptr || c2 != nullptr) {
-    const int left_ms = static_cast<int>(
-        (deadline - obs::steady_now_ns()) / 1'000'000);
-    if (left_ms <= 0) break;
-    pollfd pfds[2];
-    int n = 0;
-    int i1 = -1, i2 = -1;
-    if (c1 != nullptr) {
-      pfds[n] = pollfd{c1->fd(), POLLIN, 0};
-      i1 = n++;
-    }
-    if (c2 != nullptr) {
-      pfds[n] = pollfd{c2->fd(), POLLIN, 0};
-      i2 = n++;
-    }
-    const int pr = ::poll(pfds, static_cast<nfds_t>(n), left_ms);
-    if (pr < 0 && errno == EINTR) continue;
-    if (pr <= 0) break;
-    if (i1 >= 0 && pfds[i1].revents != 0) {
-      Attempt r = read_reply(a, std::move(c1));
-      if (r.kind != Attempt::Kind::kTransport) return r;
-      continue;  // primary died mid-reply; keep waiting on the hedge
-    }
-    if (i2 >= 0 && pfds[i2].revents != 0) {
-      Attempt r = read_reply(b, std::move(c2));
-      if (r.kind != Attempt::Kind::kTransport) {
-        hedge_wins_.add(1);
-        return r;
-      }
-    }
-  }
-  return Attempt{};
 }
 
 void Router::solve(std::istream& in, std::ostream& out,
@@ -268,13 +190,7 @@ void Router::solve(std::istream& in, std::ostream& out,
   rec.mark(obs::Stage::kAdmit, obs::steady_now_ns());
   std::string last_typed;
   for (std::size_t i = 0; i < attempts; ++i) {
-    Upstream& up = *upstreams_[cands[i]];
-    Attempt r;
-    if (i == 0 && cfg_.hedge_ms > 0 && cands.size() >= 2) {
-      r = forward_hedged(up, *upstreams_[cands[1]], frame);
-    } else {
-      r = forward_once(up, frame);
-    }
+    const Attempt r = forward_once(*upstreams_[cands[i]], frame);
     if (r.kind == Attempt::Kind::kOk) {
       // Count before relaying; the timeline is published after the write,
       // so a METRICS on this session sees it.
@@ -308,8 +224,8 @@ void Router::solve(std::istream& in, std::ostream& out,
 }
 
 void Router::trace(const std::string& arg, std::ostream& out) {
-  // The router doesn't know which backend served a past request (hedges
-  // and failovers move keys around), so fan the lookup out. Ring order
+  // The router doesn't know which backend served a past request
+  // (failovers move keys around), so fan the lookup out. Ring order
   // keeps the common case — the key's primary — first.
   std::string last_err;
   for (const auto& up : upstreams_) {
@@ -369,16 +285,9 @@ std::string Router::health_text() const {
   return os.str();
 }
 
-svc::SessionResult Router::serve(std::istream& in, std::ostream& out,
-                                 const svc::SessionOptions& opts) {
-  return svc::serve_session(*this, in, out, opts);
-}
-
 void Router::drain_force() {
   prober_->stop();
   for (const auto& up : upstreams_) up->close_idle();
 }
 
 }  // namespace ttp::cluster
-
-#endif  // !_WIN32

@@ -1,5 +1,3 @@
-#ifndef _WIN32
-
 #include "cluster/upstream.hpp"
 
 #include <stdexcept>
@@ -172,5 +170,3 @@ std::size_t Upstream::pooled() const {
 }
 
 }  // namespace ttp::cluster
-
-#endif  // !_WIN32

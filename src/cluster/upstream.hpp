@@ -18,8 +18,6 @@
 // but not a failure streak either.
 #pragma once
 
-#ifndef _WIN32
-
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -110,5 +108,3 @@ class Upstream {
 };
 
 }  // namespace ttp::cluster
-
-#endif  // !_WIN32

@@ -1,5 +1,3 @@
-#ifndef _WIN32
-
 #include "svc/client.hpp"
 
 #include <arpa/inet.h>
@@ -174,14 +172,6 @@ bool WireClient::poll_readable(int timeout_ms) {
   }
 }
 
-FdStreamBuf::Event WireClient::last_event() const noexcept {
-  return buf_ ? buf_->event() : FdStreamBuf::Event::kError;
-}
-
-void WireClient::shutdown_write() noexcept {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_WR);
-}
-
 void WireClient::close() noexcept {
   io_.reset();
   buf_.reset();
@@ -192,5 +182,3 @@ void WireClient::close() noexcept {
 }
 
 }  // namespace ttp::svc
-
-#endif  // !_WIN32

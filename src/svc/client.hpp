@@ -12,11 +12,8 @@
 // Deadlines are per call: read_line(ms)/read_until(term, ms) re-arm the
 // stream deadline each time, so callers with an end-to-end budget can hand
 // in the remaining slice per read. On EOF/timeout the convenience overloads
-// return what arrived; last_event() distinguishes a clean peer EOF from a
-// deadline hit from a socket error.
+// return what arrived.
 #pragma once
-
-#ifndef _WIN32
 
 #include <memory>
 #include <string>
@@ -77,11 +74,6 @@ class WireClient {
   /// peer EOF/reset waiting to be observed. Slices at most `timeout_ms`.
   bool poll_readable(int timeout_ms);
 
-  /// Why the last failed read stopped (kNone after successful ones).
-  FdStreamBuf::Event last_event() const noexcept;
-
-  /// Half-close: signals EOF to the peer, reads still drain.
-  void shutdown_write() noexcept;
   void close() noexcept;
 
  private:
@@ -93,5 +85,3 @@ class WireClient {
 };
 
 }  // namespace ttp::svc
-
-#endif  // !_WIN32

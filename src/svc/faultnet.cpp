@@ -1,14 +1,12 @@
 #include "svc/faultnet.hpp"
 
+#include <unistd.h>
+
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <stdexcept>
 #include <thread>
-
-#ifndef _WIN32
-#include <unistd.h>
-#endif
 
 namespace ttp::svc {
 
@@ -84,8 +82,6 @@ const FaultPlan& FaultPlan::from_env() {
   return plan;
 }
 
-#ifndef _WIN32
-
 bool FaultInjector::take_eintr() noexcept {
   if (plan_.eintr_every == 0) return false;
   return ++ops_ % plan_.eintr_every == 0;
@@ -117,7 +113,5 @@ long FaultInjector::write(int fd, const void* buf, std::size_t n) noexcept {
   if (plan_.short_write != 0 && n > plan_.short_write) n = plan_.short_write;
   return static_cast<long>(::write(fd, buf, n));
 }
-
-#endif  // !_WIN32
 
 }  // namespace ttp::svc

@@ -57,8 +57,6 @@ struct FaultPlan {
   static const FaultPlan& from_env();
 };
 
-#ifndef _WIN32
-
 /// Stateful per-connection injector: wraps read(2)/write(2) and applies the
 /// plan deterministically (EINTR every Nth op, byte caps, stalls, EOF after
 /// the configured read count). With an inactive plan both calls forward
@@ -83,7 +81,5 @@ class FaultInjector {
   std::uint64_t ops_ = 0;    ///< reads+writes issued (EINTR detours count).
   std::uint64_t reads_ = 0;  ///< successful reads (for drop-after).
 };
-
-#endif  // !_WIN32
 
 }  // namespace ttp::svc

@@ -4,8 +4,9 @@
 //   ttp_serve --port=7070          # serve TCP via the supervised Server
 //
 // Both modes speak the newline-framed protocol in svc/wire.hpp (SOLVE /
-// STATS / PING / QUIT) against a single shared Service, so every
-// connection sees the same procedure cache and singleflight scheduler.
+// STATS / PING / QUIT) through one ServiceCommands handler over a single
+// shared Service, so every connection sees the same procedure cache and
+// singleflight scheduler.
 // The TCP front end is svc/server.{hpp,cpp}: a bounded session pool with
 // per-session deadlines, load shedding, and a SIGTERM/SIGINT graceful
 // drain (in-flight SOLVEs complete, idle sessions get BYE, exit 0 within
@@ -79,8 +80,6 @@ using ttp::svc::Service;
   std::exit(code);
 }
 
-#ifndef _WIN32
-
 // The signal handlers only flip the Server's drain flag (an atomic store);
 // the accept loop notices within one poll slice and runs the drain.
 std::atomic<ttp::svc::Server*> g_server{nullptr};
@@ -91,15 +90,11 @@ void on_shutdown_signal(int) {
   }
 }
 
-#endif  // !_WIN32
-
 }  // namespace
 
 int main(int argc, char** argv) {
-#ifndef _WIN32
   // A client dropping its connection mid-reply must not kill the daemon.
   std::signal(SIGPIPE, SIG_IGN);
-#endif
   ServeArgs args;
   std::string error;
   if (!ttp::svc::parse_serve_args(argc, argv, args, error)) {
@@ -116,18 +111,17 @@ int main(int argc, char** argv) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
   }
-  Service& svc = *svc_holder;
+  ttp::svc::ServiceCommands handler(*svc_holder);
   if (args.port < 0) {
     ttp::svc::SessionOptions opts;
     opts.max_frame_bytes = args.server.max_frame_bytes;
     const auto result =
-        ttp::svc::serve_session(svc, std::cin, std::cout, opts);
+        ttp::svc::serve_session(handler, std::cin, std::cout, opts);
     std::cerr << "ttp_serve: session closed after " << result.handled
               << " commands\n";
     return 0;
   }
-#ifndef _WIN32
-  ttp::svc::Server server(svc, args.server);
+  ttp::svc::Server server(handler, args.server);
   if (!server.listen(error)) {
     std::cerr << "error: " << error << "\n";
     return 1;
@@ -143,8 +137,4 @@ int main(int argc, char** argv) {
   g_server.store(nullptr, std::memory_order_relaxed);
   std::cerr << "ttp_serve: drained, exiting\n";
   return rc;
-#else
-  std::cerr << "error: TCP mode is not supported on this platform\n";
-  return 1;
-#endif
 }

@@ -1,9 +1,22 @@
 #include "svc/server.hpp"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <charconv>
+#include <chrono>
 #include <cstring>
+#include <istream>
+#include <ostream>
 #include <stdexcept>
+#include <thread>
+
+#include "obs/trace.hpp"
 
 namespace ttp::svc {
 
@@ -136,26 +149,6 @@ bool parse_serve_args(int argc, const char* const* argv, ServeArgs& args,
   args.server.port = args.port;
   return true;
 }
-
-}  // namespace ttp::svc
-
-#ifndef _WIN32
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <chrono>
-#include <istream>
-#include <ostream>
-#include <thread>
-
-#include "obs/trace.hpp"
-
-namespace ttp::svc {
 
 namespace {
 
@@ -326,28 +319,15 @@ int FdStreamBuf::sync() {
   return 0;
 }
 
-Server::Server(SessionHost& host, ServerConfig cfg)
-    : host_(host),
+Server::Server(CommandHandler& handler, ServerConfig cfg)
+    : handler_(handler),
       cfg_(cfg),
-      accepted_(host.session_metrics().counter("svc.server.accepted")),
-      shed_(host.session_metrics().counter("svc.server.shed")),
-      timed_out_(host.session_metrics().counter("svc.server.timed_out")),
-      drained_(host.session_metrics().counter("svc.server.drained")),
-      errored_(host.session_metrics().counter("svc.server.session_errors")),
-      active_gauge_(host.session_metrics().gauge("svc.server.active")) {
-  cfg_.max_conns = std::max<std::size_t>(cfg_.max_conns, 1);
-}
-
-Server::Server(Service& svc, ServerConfig cfg)
-    : owned_host_(std::make_unique<ServiceHost>(svc)),
-      host_(*owned_host_),
-      cfg_(cfg),
-      accepted_(host_.session_metrics().counter("svc.server.accepted")),
-      shed_(host_.session_metrics().counter("svc.server.shed")),
-      timed_out_(host_.session_metrics().counter("svc.server.timed_out")),
-      drained_(host_.session_metrics().counter("svc.server.drained")),
-      errored_(host_.session_metrics().counter("svc.server.session_errors")),
-      active_gauge_(host_.session_metrics().gauge("svc.server.active")) {
+      accepted_(handler.metrics().counter("svc.server.accepted")),
+      shed_(handler.metrics().counter("svc.server.shed")),
+      timed_out_(handler.metrics().counter("svc.server.timed_out")),
+      drained_(handler.metrics().counter("svc.server.drained")),
+      errored_(handler.metrics().counter("svc.server.session_errors")),
+      active_gauge_(handler.metrics().gauge("svc.server.active")) {
   cfg_.max_conns = std::max<std::size_t>(cfg_.max_conns, 1);
 }
 
@@ -409,7 +389,7 @@ bool Server::listen(std::string& error) {
 
 void Server::begin_drain() noexcept {
   draining_.store(true, std::memory_order_relaxed);
-  host_.drain_begin();
+  handler_.drain_begin();
 }
 
 std::size_t Server::active_sessions() const {
@@ -466,9 +446,9 @@ void Server::run_session(Session& session) {
   session_opts.control = &buf;
   SessionResult result;
   try {
-    result = host_.serve(in, out, session_opts);
+    result = serve_session(handler_, in, out, session_opts);
   } catch (const std::exception& e) {
-    // A host bug must cost one session, not the whole daemon: an exception
+    // A handler bug must cost one session, not the whole daemon: an exception
     // escaping into this thread would std::terminate the process and tear
     // down every other connection with it.
     out.clear();
@@ -563,11 +543,11 @@ void Server::drain() {
   }
   if (reap() == 0) return;
   // Phase 2: work still pending this deep into the budget is cancelled —
-  // the host resolves every outstanding request terminally (the Service
-  // host stops the scheduler, so blocked sessions wake and still send a
-  // terminal "ERR cancelled" reply; the router host aborts its upstream
-  // waits the same way).
-  host_.drain_force();
+  // the handler resolves every outstanding request terminally (ttp_serve
+  // stops the scheduler, so blocked sessions wake and still send a
+  // terminal "ERR cancelled" reply; the router stops its prober and
+  // closes its idle upstream connections).
+  handler_.drain_force();
   while (clock::now() < hard_deadline) {
     if (reap() == 0) return;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -600,5 +580,3 @@ void Server::drain() {
 }
 
 }  // namespace ttp::svc
-
-#endif  // !_WIN32

@@ -1,7 +1,8 @@
-// The ttp_serve TCP front end: a supervised session pool with a bounded
-// connection lifecycle, replacing the daemon's original grow-only
-// thread-per-connection loop (threads were pushed into a vector and only
-// joined after accept() failed — i.e. never, under normal operation).
+// The TCP front end both daemons share: a supervised session pool with a
+// bounded connection lifecycle. Every session runs serve_session over the
+// daemon's one CommandHandler (svc/wire.hpp) — ttp_serve's ServiceCommands,
+// ttp_router's Router — which also names the registry for the counters
+// below and answers the drain hooks.
 //
 // Lifecycle of a connection:
 //
@@ -9,7 +10,7 @@
 //      │ no
 //      ▼
 //   session thread: FdStreamBuf (poll-based deadlines, EINTR-safe,
-//   TTP_FAULT-aware) drives serve_session over the shared Service
+//   TTP_FAULT-aware) drives serve_session over the handler
 //      │
 //      ├─ idle past --idle-timeout-ms, or a frame torn past
 //      │  --read-timeout-ms  ──► "ERR timeout" + close   (timed_out)
@@ -21,16 +22,17 @@
 // handful finished since the last tick.
 //
 // Graceful drain: SIGTERM/SIGINT call Server::begin_drain() (an atomic
-// store — async-signal-safe). The accept loop notices within one poll
-// slice, closes the listener, and waits for sessions to finish naturally:
-// in-flight SOLVEs complete and get their OK replies, idle sessions get
-// BYE. If sessions remain near the --drain-timeout-ms budget, the
-// scheduler is stopped (pending solves resolve kCancelled, so blocked
-// sessions still send a terminal "ERR cancelled" reply) and remaining
-// sockets are shut down; run() then returns 0 — the daemon exits cleanly
-// within the drain budget no matter what clients do.
+// store — async-signal-safe — plus the handler's drain_begin). The accept
+// loop notices within one poll slice, closes the listener, and waits for
+// sessions to finish naturally: in-flight SOLVEs complete and get their OK
+// replies, idle sessions get BYE. If sessions remain near the
+// --drain-timeout-ms budget, the handler's drain_force cancels pending work
+// (ttp_serve stops its scheduler, so pending solves resolve kCancelled and
+// blocked sessions still send a terminal "ERR cancelled" reply) and
+// remaining sockets are shut down; run() then returns 0 — the daemon exits
+// cleanly within the drain budget no matter what clients do.
 //
-// Counters (in the shared Service registry, visible via STATS/METRICS):
+// Counters (in the handler's registry, visible via STATS/METRICS):
 //   svc.server.accepted   sessions admitted
 //   svc.server.shed       connections refused at max_conns
 //   svc.server.timed_out  sessions evicted by a deadline
@@ -38,12 +40,19 @@
 // plus the svc.server.active gauge.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <functional>
+#include <memory>
+#include <mutex>
+#include <streambuf>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "svc/faultnet.hpp"
 #include "svc/service.hpp"
+#include "svc/wire.hpp"
 
 namespace ttp::svc {
 
@@ -93,22 +102,6 @@ std::vector<LongFlag> server_flags(int& port, ServerConfig& server);
 /// that no flag names ("unknown argument").
 bool parse_long_flag(const std::string& arg, const std::vector<LongFlag>& flags,
                      std::string& error);
-
-}  // namespace ttp::svc
-
-#ifndef _WIN32
-
-#include <atomic>
-#include <memory>
-#include <mutex>
-#include <streambuf>
-#include <thread>
-#include <vector>
-
-#include "svc/faultnet.hpp"
-#include "svc/wire.hpp"
-
-namespace ttp::svc {
 
 /// Bidirectional streambuf over a connected socket with the hardened I/O
 /// the naive version lacked: poll-based read deadlines (idle between
@@ -180,55 +173,12 @@ class FdStreamBuf final : public std::streambuf, public SessionControl {
   char wbuf_[4096];
 };
 
-/// What the supervised session pool serves. The Server owns the sockets,
-/// deadlines, shedding, reaping, and graceful drain; the host owns the
-/// protocol — ttp_serve plugs in its Service sessions (ServiceHost below),
-/// the cluster router (src/cluster/router.hpp) plugs in its forwarding
-/// sessions, and both get the identical hardened connection lifecycle.
-class SessionHost {
- public:
-  virtual ~SessionHost() = default;
-  /// Registry the server's lifecycle counters (svc.server.*) live in.
-  virtual obs::MetricsRegistry& session_metrics() = 0;
-  /// One session over the given streams; the server wires opts.control to
-  /// its transport (FdStreamBuf) before calling.
-  virtual SessionResult serve(std::istream& in, std::ostream& out,
-                              const SessionOptions& opts) = 0;
-  /// Drain announced. Called from Server::begin_drain — which signal
-  /// handlers invoke — so implementations MUST be async-signal-safe
-  /// (atomic stores only).
-  virtual void drain_begin() noexcept {}
-  /// Drain deadline approaching: cancel pending work so blocked sessions
-  /// wake with terminal replies. Called from the drain thread.
-  virtual void drain_force() {}
-};
-
-/// The ttp_serve host: sessions run serve_session over the shared Service;
-/// drain flips the Service's draining flag and, when forced, stops the
-/// scheduler (pending solves resolve kCancelled).
-class ServiceHost final : public SessionHost {
- public:
-  explicit ServiceHost(Service& svc) : svc_(svc) {}
-  obs::MetricsRegistry& session_metrics() override { return svc_.metrics(); }
-  SessionResult serve(std::istream& in, std::ostream& out,
-                      const SessionOptions& opts) override {
-    return serve_session(svc_, in, out, opts);
-  }
-  void drain_begin() noexcept override { svc_.set_draining(true); }
-  void drain_force() override { svc_.scheduler().stop(); }
-
- private:
-  Service& svc_;
-};
-
 /// The supervised session pool. One Server owns the listener and every
-/// session thread; all sessions share the one SessionHost.
+/// session thread; all sessions share the one CommandHandler, which must
+/// outlive the Server.
 class Server {
  public:
-  Server(SessionHost& host, ServerConfig cfg);
-  /// Convenience for the common case: serves `svc` through an internally
-  /// owned ServiceHost.
-  Server(Service& svc, ServerConfig cfg);
+  Server(CommandHandler& handler, ServerConfig cfg);
   ~Server();
 
   Server(const Server&) = delete;
@@ -271,8 +221,7 @@ class Server {
   /// The end-of-run drain sequence described in the header comment.
   void drain();
 
-  std::unique_ptr<SessionHost> owned_host_;  ///< Set by the Service ctor.
-  SessionHost& host_;
+  CommandHandler& handler_;
   ServerConfig cfg_;
   int listener_ = -1;
   int port_ = -1;
@@ -291,5 +240,3 @@ class Server {
 };
 
 }  // namespace ttp::svc
-
-#endif  // !_WIN32

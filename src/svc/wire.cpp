@@ -62,20 +62,7 @@ void append_tree_wire(std::string& out, const tt::Tree& tree) {
   }
 }
 
-/// ttp_serve's answers: every command against the one shared Service.
-class ServiceCommands final : public CommandHandler {
- public:
-  explicit ServiceCommands(Service& svc) : svc_(svc) {}
-  void solve(std::istream& in, std::ostream& out, const SessionOptions& opts,
-             std::string& frame) override;
-  void trace(const std::string& arg, std::ostream& out) override;
-  std::string stats_text() const override { return svc_.stats_text(); }
-  std::string metrics_text() const override { return svc_.metrics_text(); }
-  std::string health_text() const override { return svc_.health_text(); }
-
- private:
-  Service& svc_;
-};
+}  // namespace
 
 void ServiceCommands::solve(std::istream& in, std::ostream& out,
                             const SessionOptions& opts, std::string& frame) {
@@ -122,8 +109,6 @@ void ServiceCommands::trace(const std::string& arg, std::ostream& out) {
   }
   out << reply << "END\n" << std::flush;
 }
-
-}  // namespace
 
 std::string err_line(std::string_view code, const std::string& message) {
   // Newline-framed protocol: the message must stay on one line.
@@ -311,16 +296,6 @@ SessionResult serve_session(CommandHandler& handler, std::istream& in,
       write_err(out, "bad-request", "unknown command '" + line + "'");
     }
   }
-}
-
-SessionResult serve_session(Service& svc, std::istream& in, std::ostream& out,
-                            const SessionOptions& opts) {
-  ServiceCommands handler(svc);
-  return serve_session(handler, in, out, opts);
-}
-
-std::size_t serve_session(Service& svc, std::istream& in, std::ostream& out) {
-  return serve_session(svc, in, out, SessionOptions{}).handled;
 }
 
 }  // namespace ttp::svc

@@ -147,10 +147,12 @@ obs::FlightRecord open_timeline(const SessionOptions& opts);
 bool read_solve_frame(std::istream& in, std::ostream& out,
                       const SessionOptions& opts, std::string& frame);
 
-/// What a daemon answers the protocol's commands with. serve_session owns
-/// the command loop — framing, CRLF, transport hooks, PING, QUIT and the
-/// unknown-command error — and dispatches the rest here: ttp_serve answers
-/// from its Service, ttp_router (src/cluster/router.hpp) by forwarding.
+/// What a daemon answers the protocol's commands with, and the hooks its
+/// TCP session pool (svc/server.hpp) drives. serve_session owns the command
+/// loop — framing, CRLF, transport hooks, PING, QUIT and the unknown-command
+/// error — and dispatches the rest here: ttp_serve answers from its Service
+/// (ServiceCommands below), ttp_router (src/cluster/router.hpp) by
+/// forwarding.
 class CommandHandler {
  public:
   virtual ~CommandHandler() = default;
@@ -165,6 +167,35 @@ class CommandHandler {
   virtual std::string stats_text() const = 0;
   virtual std::string metrics_text() const = 0;
   virtual std::string health_text() const = 0;
+  /// Registry the session pool's counters (svc.server.*) live in.
+  virtual obs::MetricsRegistry& metrics() = 0;
+  /// Drain announced. Called from Server::begin_drain — which signal
+  /// handlers invoke — so implementations MUST be async-signal-safe
+  /// (atomic stores only).
+  virtual void drain_begin() noexcept {}
+  /// Drain deadline approaching: cancel pending work so blocked sessions
+  /// wake with terminal replies. Called from the drain thread.
+  virtual void drain_force() {}
+};
+
+/// ttp_serve's handler: every command against the one shared Service. A
+/// drain flips the Service's draining flag and, when forced, stops the
+/// scheduler (pending solves resolve kCancelled).
+class ServiceCommands final : public CommandHandler {
+ public:
+  explicit ServiceCommands(Service& svc) : svc_(svc) {}
+  void solve(std::istream& in, std::ostream& out, const SessionOptions& opts,
+             std::string& frame) override;
+  void trace(const std::string& arg, std::ostream& out) override;
+  std::string stats_text() const override { return svc_.stats_text(); }
+  std::string metrics_text() const override { return svc_.metrics_text(); }
+  std::string health_text() const override { return svc_.health_text(); }
+  obs::MetricsRegistry& metrics() override { return svc_.metrics(); }
+  void drain_begin() noexcept override { svc_.set_draining(true); }
+  void drain_force() override { svc_.scheduler().stop(); }
+
+ private:
+  Service& svc_;
 };
 
 /// Runs one session: reads commands from `in` until EOF, QUIT, or the
@@ -172,12 +203,5 @@ class CommandHandler {
 /// Protocol errors produce ERR replies, never exceptions.
 SessionResult serve_session(CommandHandler& handler, std::istream& in,
                             std::ostream& out, const SessionOptions& opts);
-
-/// ttp_serve's session: serve_session answering from `svc`.
-SessionResult serve_session(Service& svc, std::istream& in, std::ostream& out,
-                            const SessionOptions& opts);
-
-/// Back-compat convenience: default options; returns the command count.
-std::size_t serve_session(Service& svc, std::istream& in, std::ostream& out);
 
 }  // namespace ttp::svc

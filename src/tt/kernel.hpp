@@ -251,7 +251,6 @@ class SolveArena {
   const double* cost() const noexcept { return cost_.data(); }
   int* best() noexcept { return best_.data(); }
   const int* best() const noexcept { return best_.data(); }
-  std::size_t table_size() const noexcept { return cost_.size(); }
 
   /// M-buffer of at least n doubles for the pair-parallel phases (contents
   /// indeterminate — every pair slot is written before it is read).

@@ -10,8 +10,8 @@ namespace ttp::tt {
 void StateMap::reset(std::size_t expected) {
   std::size_t want = 16;
   while (want < expected * 2) want <<= 1;
-  if (cells_.size() < want) {
-    cells_.assign(want, Cell{kEmptyKey, 0});
+  if (cells_.size() < want || cells_.size() > kMaxSlack * want) {
+    cells_ = std::vector<Cell>(want, Cell{kEmptyKey, 0});  // frees the old
   } else {
     std::fill(cells_.begin(), cells_.end(), Cell{kEmptyKey, 0});
   }

@@ -46,7 +46,9 @@ class StateMap {
   static constexpr std::uint32_t kNotFound = 0xFFFFFFFFu;
 
   /// Empties the map and reserves capacity for `expected` keys. Keeps the
-  /// backing array when it is already large enough (arena reuse).
+  /// backing array when it is large enough (arena reuse) but no more than
+  /// kMaxSlack times what `expected` needs; a larger one is released, so a
+  /// worker that once held a huge closure does not clear it every solve.
   void reset(std::size_t expected);
 
   /// Inserts key -> value; returns false (leaving the stored value alone)
@@ -66,6 +68,16 @@ class StateMap {
     }
   }
 
+  /// Overwrites the value of `key`, which must be present.
+  void set(Mask key, std::uint32_t value) noexcept {
+    std::size_t i = hash(key) & index_mask_;
+    while (cells_[i].key != key) {
+      assert(cells_[i].key != kEmptyKey && "StateMap::set: key absent");
+      i = (i + 1) & index_mask_;
+    }
+    cells_[i].value = value;
+  }
+
   std::size_t size() const noexcept { return size_; }
   std::size_t capacity() const noexcept { return cells_.size(); }
 
@@ -76,6 +88,8 @@ class StateMap {
   };
   /// Masks are < 2^24 (kMaxUniverse), so all-ones is unreachable as a key.
   static constexpr std::uint32_t kEmptyKey = 0xFFFFFFFFu;
+  /// reset() keeps a backing array up to this multiple of its need.
+  static constexpr std::size_t kMaxSlack = 8;
 
   static std::uint32_t hash(Mask m) noexcept {
     // splitmix-style avalanche; subset masks are dense in the low bits.

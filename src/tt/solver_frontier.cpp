@@ -77,9 +77,9 @@ double sparse_subset_weight(const std::vector<double>& w, Mask s) {
   return acc;
 }
 
-/// Rebuilds the arena's layer-contiguous layout + mask->slot map from the
-/// expansion buckets. Slot 0 is ∅; layers ascend, masks ascend per layer —
-/// LayerIndex order restricted to the closure.
+/// Builds the arena's layer-contiguous layout from the expansion buckets
+/// and points the mask->slot map at it. Slot 0 is ∅; layers ascend, masks
+/// ascend per layer — LayerIndex order restricted to the closure.
 void layout_closure(const Instance& ins, FrontierArena& ar,
                     util::ThreadPool* pool) {
   const int k = ins.k();
@@ -97,9 +97,10 @@ void layout_closure(const Instance& ins, FrontierArena& ar,
   ar.layer_off[static_cast<std::size_t>(k) + 1] = slot;
   assert(slot == ar.states && "closure layout must place every state");
 
-  ar.map.reset(ar.states);
-  for (std::size_t s = 0; s < ar.states; ++s) {
-    ar.map.insert(masks[s], static_cast<std::uint32_t>(s));
+  // The expansion inserted every state: write each slot into the cell it
+  // already holds instead of clearing and refilling the map (∅ holds 0).
+  for (std::size_t s = 1; s < ar.states; ++s) {
+    ar.map.set(masks[s], static_cast<std::uint32_t>(s));
   }
 
   ar.ws.resize_discard(ar.states);
@@ -281,9 +282,10 @@ ClosureResult expand_reachable(const Instance& ins, std::size_t max_states,
   arena.complete = false;
   arena.buckets.assign(static_cast<std::size_t>(k) + 1, {});
   arena.map.reset(std::min<std::size_t>(max_states, 4096));
+  arena.map.insert(0, 0);  // ∅, slot 0 of the layout
   arena.map.insert(U, 0);
   arena.buckets[static_cast<std::size_t>(k)].push_back(U);
-  std::size_t total = 2;  // ∅ and U (∅ joins the map at layout time)
+  std::size_t total = 2;  // ∅ and U
 
   static thread_local ActionSoA soa_tls;
   soa_tls.build(ins);

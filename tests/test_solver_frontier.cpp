@@ -3,6 +3,8 @@
 // svc sparse admission tier end to end through the wire protocol.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -133,12 +135,17 @@ TEST(FrontierStateMap, ResetKeepsCapacityAndEmptiesMap) {
   map.reset(1000);
   for (Mask m = 1; m <= 1000; ++m) map.insert(m, m);
   const std::size_t cap = map.capacity();
-  map.reset(8);
+  map.reset(200);  // needs 512 cells, within 8x of the 2048 held
   EXPECT_EQ(map.size(), 0u);
   EXPECT_EQ(map.capacity(), cap);  // arena reuse: backing array retained
   EXPECT_EQ(map.find(17), StateMap::kNotFound);
   map.insert(17, 3);
   EXPECT_EQ(map.find(17), 3u);
+  // Past 8x of the need the array is released instead of cleared.
+  map.reset(8);
+  EXPECT_EQ(map.size(), 0u);
+  EXPECT_EQ(map.capacity(), 16u);
+  EXPECT_EQ(map.find(17), StateMap::kNotFound);
 }
 
 TEST(FrontierClosure, IntervalInstanceHasQuadraticClosure) {
@@ -452,6 +459,42 @@ TEST(FrontierPlanner, RandomFamilyStaysSparseAndIdenticalOnR) {
   }
 }
 
+TEST(FrontierPlanner, ReusedArenaBoundsItsMapByTheLatestClosure) {
+  // A batch worker keeps one arena per thread. After a full-lattice k = 16
+  // closure, a small closure on the same arena must leave the map sized
+  // for itself, not keep (and clear) the large one's array; both results
+  // stay bitwise identical to the sequential tables on R.
+  SolveArena dense;
+  FrontierArena sparse;
+  FrontierConfig forced;
+  forced.min_sparse_k = 0;
+  forced.dense_crossover = 1.0;
+  // The cells an expansion reserves for a closure of `states` states.
+  const auto need = [](std::size_t states) {
+    return std::bit_ceil(2 * std::max<std::size_t>(states, 4096));
+  };
+  std::size_t large_cap = 0;
+  for (const Instance& ins : {singleton_instance(16), interval_instance(12)}) {
+    SCOPED_TRACE("k=" + std::to_string(ins.k()));
+    const SolveResult res = solve_adaptive(ins, dense, sparse, forced);
+    ASSERT_EQ(res.breakdown.get("frontier_states"), sparse.states);
+    const SolveResult ref = SequentialSolver().solve(ins);
+    EXPECT_EQ(res.cost, ref.cost);
+    expect_same_tree(res.tree, ref.tree);
+    for (std::size_t slot = 0; slot < sparse.states; ++slot) {
+      const auto mi = static_cast<std::size_t>(sparse.masks.data()[slot]);
+      ASSERT_EQ(sparse.map.find(static_cast<Mask>(mi)), slot);
+      ASSERT_EQ(sparse.cost.data()[slot], ref.table.cost[mi]) << "mask " << mi;
+      ASSERT_EQ(sparse.best.data()[slot], ref.table.best_action[mi])
+          << "mask " << mi;
+    }
+    if (large_cap == 0) large_cap = sparse.map.capacity();
+  }
+  EXPECT_LT(sparse.states, 4096u);
+  ASSERT_GT(large_cap, 8 * need(sparse.states));
+  EXPECT_LE(sparse.map.capacity(), need(sparse.states));
+}
+
 TEST(FrontierPlanner, CrossoverOneNeverTakesTheTopLayerVerdict) {
   // perfbench's reference solve forces the sparse path this way, and its
   // k = 18 dense cross-check relies on it.
@@ -489,7 +532,8 @@ namespace {
 std::string session(Service& svc, const std::string& input) {
   std::istringstream in(input);
   std::ostringstream out;
-  serve_session(svc, in, out);
+  ServiceCommands commands(svc);
+  serve_session(commands, in, out, SessionOptions{});
   return out.str();
 }
 

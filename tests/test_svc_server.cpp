@@ -2,8 +2,6 @@
 // registry with shedding, poll-based idle/read deadlines, immediate reaping,
 // graceful drain, validated argument parsing, and the TTP_FAULT injector —
 // all driven over real sockets on the loopback interface.
-#ifndef _WIN32
-
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
@@ -68,7 +66,7 @@ class Client : public WireClient {
 class ServerHarness {
  public:
   ServerHarness(ServiceConfig svc_cfg, ServerConfig srv_cfg)
-      : svc(svc_cfg), server(svc, srv_cfg) {
+      : svc(svc_cfg), commands(svc), server(commands, srv_cfg) {
     std::string error;
     listening_ = server.listen(error);
     EXPECT_TRUE(listening_) << error;
@@ -91,6 +89,7 @@ class ServerHarness {
   }
 
   Service svc;
+  ServiceCommands commands;
   Server server;
 
  private:
@@ -159,7 +158,8 @@ struct FaultedSession {
       std::ostream out(&buf);
       SessionOptions opts;
       opts.control = &buf;
-      result = serve_session(svc, in, out, opts);
+      ServiceCommands commands(svc);
+      result = serve_session(commands, in, out, opts);
       out.flush();
       event = buf.event();
       ::close(server_fd);
@@ -543,5 +543,3 @@ TEST(SvcServer, SchedulerSubmitAfterStopResolvesCancelled) {
 
 }  // namespace
 }  // namespace ttp::svc
-
-#endif  // !_WIN32

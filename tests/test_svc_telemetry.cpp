@@ -45,7 +45,8 @@ std::vector<std::string> lines_of(const std::string& text) {
 std::string session(Service& svc, const std::string& input) {
   std::istringstream in(input);
   std::ostringstream out;
-  serve_session(svc, in, out);
+  ServiceCommands commands(svc);
+  serve_session(commands, in, out, SessionOptions{});
   return out.str();
 }
 
@@ -515,10 +516,7 @@ TEST(SvcTelemetry, StdioSessionTimelinePartitionsEndToEnd) {
   Service svc;
   const Instance ins = tt::fig1_example();
   // One session: the TRACE right after the SOLVE must find it.
-  std::istringstream in(solve_frame(ins));
-  std::ostringstream out;
-  serve_session(svc, in, out);
-  const auto lines = lines_of(out.str());
+  const auto lines = lines_of(session(svc, solve_frame(ins)));
   const std::size_t ok = line_at(lines, "OK ");
   ASSERT_LT(ok, lines.size());
   auto kv = kv_of(lines_of(session(svc, "TRACE " + trace_of(lines[ok]) + "\n")));
@@ -530,8 +528,8 @@ TEST(SvcTelemetry, StdioSessionTimelinePartitionsEndToEnd) {
 
 TEST(SvcTelemetry, TcpSessionTimelinePartitionsEndToEnd) {
   Service svc;
-  ServerConfig scfg;
-  Server server(svc, scfg);
+  ServiceCommands commands(svc);
+  Server server(commands, ServerConfig{});
   std::string error;
   ASSERT_TRUE(server.listen(error)) << error;
   std::thread runner([&] { server.run(); });

@@ -31,7 +31,9 @@ std::string session(Service& svc, const std::string& input,
                     std::size_t* handled = nullptr) {
   std::istringstream in(input);
   std::ostringstream out;
-  const std::size_t n = serve_session(svc, in, out);
+  ServiceCommands commands(svc);
+  const std::size_t n =
+      serve_session(commands, in, out, SessionOptions{}).handled;
   if (handled != nullptr) *handled = n;
   return out.str();
 }
@@ -201,7 +203,8 @@ TEST(SvcWire, OversizeFrameIsRefusedEarlyAndSessionStaysInSync) {
   std::string body(256, 'x');
   std::istringstream in("SOLVE\n" + body + "\nEND\nPING\nQUIT\n");
   std::ostringstream out;
-  const SessionResult result = serve_session(svc, in, out, opts);
+  ServiceCommands commands(svc);
+  const SessionResult result = serve_session(commands, in, out, opts);
   const auto lines = lines_of(out.str());
   ASSERT_EQ(lines.size(), 3u) << out.str();
   EXPECT_EQ(lines[0].rfind("ERR oversize", 0), 0u) << lines[0];

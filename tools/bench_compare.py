@@ -12,6 +12,10 @@ the run — benches gain and lose cases across PRs — and two files with no
 keys in common (different kernel variant, a filtered CI run) skip the
 comparison entirely with exit 0.
 
+Timings from two machines say nothing about the code, so both files must
+carry one and the same `host` stamp (bench_json.hpp); otherwise the tool
+prints both stamps and exits 2 without comparing.
+
 This is the gate CI runs against the committed BENCH_*.json trajectory
 files at the repo root (see docs/kernel.md for how those are produced).
 """
@@ -34,7 +38,8 @@ def load(path):
         # Last record wins on duplicate keys (e.g. repeated runs appended
         # to one file); deliberate, so re-runs supersede.
         table[key(rec)] = rec
-    return table
+    hosts = sorted({rec.get("host", "(no host stamp)") for rec in records})
+    return table, hosts
 
 
 def fmt_key(k):
@@ -52,8 +57,17 @@ def main():
                          "(default 0.10 = 10%%)")
     args = ap.parse_args()
 
-    base = load(args.baseline)
-    cand = load(args.candidate)
+    base, base_hosts = load(args.baseline)
+    cand, cand_hosts = load(args.candidate)
+    if (len(base_hosts) != 1 or base_hosts != cand_hosts
+            or base_hosts[0] == "(no host stamp)"):
+        print("bench_compare: refusing to compare records from different "
+              "or unknown hosts", file=sys.stderr)
+        print(f"  baseline  {args.baseline}: {'; '.join(base_hosts)}",
+              file=sys.stderr)
+        print(f"  candidate {args.candidate}: {'; '.join(cand_hosts)}",
+              file=sys.stderr)
+        return 2
 
     regressions = []
     common = sorted(set(base) & set(cand))
