@@ -10,9 +10,11 @@
 //
 //   BM_DenseSolve     warm-arena solve_with_arena at k = 14..20 — the best
 //                     dense variant the CPU supports (simd-avx2 on x86).
-//   BM_FrontierSolve  FrontierSolver::solve_sparse at k = 14..22 — closure
+//   BM_FrontierSolve  solve_adaptive pinned sparse at k = 14..22 — closure
 //                     expansion + sparse waves (always the scalar tile),
-//                     end to end, every iteration (no cached closure).
+//                     end to end, every iteration (no cached closure), on
+//                     one reused arena pair, serially, as a BatchSolver
+//                     worker runs it.
 //
 // Args are {k, policy} with policy 0 = ActionBudget::kQuadratic (N = k²)
 // and 1 = kLinear (N = 4k); instances pad the k meaningful actions with
@@ -145,15 +147,18 @@ void BM_FrontierSolve(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   const ActionBudget policy = policy_from(state.range(1));
   const Instance ins = frontier_instance(k, policy);
-  // Pin the planner sparse for every k in range (min_sparse_k below 14)
-  // so the bench times the sparse path itself, not the planner's choice.
+  // Pin the planner sparse for every k in range (no dense floor, and a
+  // crossover of 1 disarms the top-layer check) so the bench times the
+  // sparse path itself, not the planner's choice.
   ttp::tt::FrontierConfig cfg;
-  cfg.min_sparse_k = 2;
-  ttp::tt::FrontierSolver solver(/*workers=*/0, cfg);
+  cfg.min_sparse_k = 0;
+  cfg.dense_crossover = 1.0;
+  ttp::tt::SolveArena dense;
+  ttp::tt::FrontierArena sparse;
   double cost = 0;
   std::uint64_t states = 0;
   for (auto _ : state) {
-    const auto res = solver.solve_sparse(ins);
+    const auto res = ttp::tt::solve_adaptive(ins, dense, sparse, cfg);
     cost = res.cost;
     states = res.breakdown.get("frontier_states");
     benchmark::DoNotOptimize(cost);

@@ -164,9 +164,4 @@ void Upstream::close_idle() {
   // Destructors (and their close() syscalls) run outside the lock.
 }
 
-std::size_t Upstream::pooled() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return idle_.size();
-}
-
 }  // namespace ttp::cluster

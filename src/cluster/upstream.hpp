@@ -79,7 +79,6 @@ class Upstream {
   /// Drops every pooled connection (drain shutdown, or after ejection so
   /// a recovered backend starts from fresh sockets).
   void close_idle();
-  std::size_t pooled() const;
 
  private:
   struct Idle {

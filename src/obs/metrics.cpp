@@ -6,15 +6,6 @@
 
 namespace ttp::obs {
 
-void Histogram::reset() noexcept {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-  min_.store(std::numeric_limits<std::uint64_t>::max(),
-             std::memory_order_relaxed);
-  max_.store(0, std::memory_order_relaxed);
-}
-
 MetricsRegistry::MetricsRegistry(const MetricsRegistry& o) { *this = o; }
 
 MetricsRegistry& MetricsRegistry::operator=(const MetricsRegistry& o) {

@@ -114,7 +114,6 @@ class Histogram {
                : buckets_[static_cast<std::size_t>(b)].load(
                      std::memory_order_relaxed);
   }
-  void reset() noexcept;
 
  private:
   void update_min(std::uint64_t v) noexcept {

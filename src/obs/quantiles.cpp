@@ -120,8 +120,4 @@ QuantileSnapshot ShardedQuantiles::snapshot() const {
   return s;
 }
 
-void ShardedQuantiles::reset() noexcept {
-  for (QuantileSketch& shard : shards_) shard.reset();
-}
-
 }  // namespace ttp::obs

@@ -165,8 +165,6 @@ class ShardedQuantiles {
   /// Merged view of all shards; lock-free with respect to writers.
   QuantileSnapshot snapshot() const;
 
-  void reset() noexcept;
-
  private:
   QuantileSketch& shard_for_thread() noexcept;
   QuantileSketch shards_[kShards];

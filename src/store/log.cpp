@@ -133,12 +133,6 @@ bool Segment::read_at(std::uint64_t off, std::size_t len,
 
 bool Segment::sync() { return ::fsync(fd_) == 0; }
 
-bool Segment::truncate_to(std::uint64_t len) {
-  if (::ftruncate(fd_, static_cast<off_t>(len)) != 0) return false;
-  size_ = len;
-  return true;
-}
-
 void Segment::freeze() {
   if (!active_) return;
   if (size_ > 0 && map_ == nullptr) {

@@ -61,9 +61,6 @@ class Segment {
 
   bool sync();  ///< fsync; false on error.
 
-  /// ftruncate to len — torn-tail recovery on the youngest segment.
-  bool truncate_to(std::uint64_t len);
-
   /// Converts the active segment to frozen-and-mapped in place (compaction
   /// rotation). Throws std::runtime_error if the mmap fails.
   void freeze();

@@ -323,14 +323,6 @@ void ProcedureStore::worker_main() {
   }
 }
 
-bool ProcedureStore::flush() {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = segments_.find(active_seq_);
-  if (it == segments_.end()) return false;
-  dirty_appends_ = 0;
-  return it->second.sync();
-}
-
 std::uint64_t ProcedureStore::compact_now() {
   std::unique_lock<std::mutex> lk(mu_);
   return compact_locked(lk);

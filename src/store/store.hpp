@@ -126,9 +126,6 @@ class ProcedureStore {
   /// cache miss, never fails the request.
   bool put(const StoreKey& key, double cost, const tt::Tree& tree);
 
-  /// fsync the active segment now (regardless of sync mode).
-  bool flush();
-
   /// Runs one compaction synchronously; returns bytes reclaimed (0 when
   /// another compaction is in flight or nothing to do).
   std::uint64_t compact_now();

@@ -35,18 +35,21 @@ bool StateMap::insert(Mask key, std::uint32_t value) {
   assert(static_cast<std::uint32_t>(key) != kEmptyKey &&
          "StateMap: the all-ones mask is the empty sentinel");
   if (cells_.empty()) reset(16);
-  if ((size_ + 1) * 2 > cells_.size()) rehash(cells_.size() * 2);
   std::size_t i = hash(key) & index_mask_;
-  while (true) {
-    Cell& c = cells_[i];
-    if (c.key == key) return false;
-    if (c.key == kEmptyKey) {
-      c = Cell{static_cast<std::uint32_t>(key), value};
-      ++size_;
-      return true;
-    }
+  while (cells_[i].key != kEmptyKey) {
+    if (cells_[i].key == key) return false;
     i = (i + 1) & index_mask_;
   }
+  // Only a new key can grow the table: the expansion inserts every child,
+  // and most are already present.
+  if ((size_ + 1) * 2 > cells_.size()) {
+    rehash(cells_.size() * 2);
+    i = hash(key) & index_mask_;
+    while (cells_[i].key != kEmptyKey) i = (i + 1) & index_mask_;
+  }
+  cells_[i] = Cell{static_cast<std::uint32_t>(key), value};
+  ++size_;
+  return true;
 }
 
 }  // namespace ttp::tt

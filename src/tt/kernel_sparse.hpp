@@ -13,9 +13,8 @@
 //  * StateMap — an open-addressing mask -> slot hash table. Keys are
 //    subset masks (< 2^24, see kMaxUniverse), so the all-ones sentinel can
 //    never collide with a real key. Linear probing, power-of-two capacity,
-//    ≤ 50% load; find() is lock-free-read-safe while no insert runs, which
-//    is the only concurrency the frontier solver ever asks of it (parallel
-//    expansion phases read, the serial merge between them writes).
+//    ≤ 50% load. The expansion dedups each child with one insert(); the
+//    layout and the wave's gather rows read it with set() and find().
 //  * eval_states_sparse() — the per-layer wave over slot-indexed tables.
 //    Child lookups go through precomputed slot rows (action-major) while
 //    validity is recomputed from the masks, so an invalid split can safely
@@ -52,11 +51,11 @@ class StateMap {
   void reset(std::size_t expected);
 
   /// Inserts key -> value; returns false (leaving the stored value alone)
-  /// when the key is already present. Grows at 50% load.
+  /// when the key is already present. Grows when a new key would take it
+  /// past 50% load; a present key never grows it.
   bool insert(Mask key, std::uint32_t value);
 
-  /// The stored value, or kNotFound. Safe to call concurrently from many
-  /// threads as long as no insert() runs in parallel.
+  /// The stored value, or kNotFound.
   std::uint32_t find(Mask key) const noexcept {
     if (cells_.empty()) return kNotFound;
     std::size_t i = hash(key) & index_mask_;

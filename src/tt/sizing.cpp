@@ -48,8 +48,8 @@ ReachableEstimate estimate_reachable(const Instance& ins,
   // Function-local arena: callers may estimate concurrently, and a
   // measurement is rare enough that the allocation cost does not matter.
   FrontierArena arena;
-  const ClosureResult cr = expand_reachable(
-      ins, static_cast<std::size_t>(max_states), arena, /*pool=*/nullptr);
+  const ClosureResult cr =
+      expand_reachable(ins, static_cast<std::size_t>(max_states), arena);
   return ReachableEstimate{static_cast<std::uint64_t>(cr.states), cr.complete};
 }
 

@@ -67,12 +67,8 @@ std::vector<BatchOutcome> BatchSolver::solve_many(
       // process; each instance keeps its own (solve_adaptive validates the
       // instance and throws ClosureOverBudget for an unservable closure).
       try {
-        // pool=nullptr: this worker IS the parallelism — nesting the
-        // frontier's own fan-out inside a pool task would double-book the
-        // cores for no win at batch depth ≥ workers.
         out[i].result = solve_adaptive(*instances[i], arena, frontier,
-                                       planner_, /*pool=*/nullptr,
-                                       "solve.batch");
+                                       planner_, "solve.batch");
       } catch (...) {
         out[i].error = std::current_exception();
       }

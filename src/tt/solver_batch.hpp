@@ -10,13 +10,11 @@
 // Each instance is solved through the adaptive dense/sparse planner
 // (tt/solver_frontier.hpp): below the planner's min_sparse_k the dense
 // layer-wave arena path runs exactly as before; above it the reachable-
-// closure sparse path takes over (each worker solving its own instance
-// serially — instance-level parallelism already saturates the pool, so
-// the frontier's internal pool stays unused here). Either path charges the
-// sequential cost model per result (steps.total_ops == that instance's
-// M-evaluation count); results come back in input order, and an instance
-// whose solve throws fails only its own outcome. Bench E23 measures
-// instances/sec.
+// closure sparse path takes over, each worker solving its own instance
+// serially on its own arenas. Either path charges the sequential cost
+// model per result (steps.total_ops == that instance's M-evaluation
+// count); results come back in input order, and an instance whose solve
+// throws fails only its own outcome. Bench E23 measures instances/sec.
 #pragma once
 
 #include <cstddef>

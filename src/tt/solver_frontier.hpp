@@ -7,23 +7,26 @@
 // executable:
 //
 //   1. Frontier expansion (top-down): starting from U, each popcount layer
-//      is expanded in parallel chunks — workers emit candidate children
-//      into disjoint scratch while the dedup StateMap is read-only, then a
-//      serial merge inserts the genuinely new states into per-popcount
-//      buckets. Children have strictly smaller popcount than their parent,
-//      so a single k→1 descent discovers everything. Expansion aborts once
-//      a state budget is exceeded (singleton tests can make R = 2^k).
+//      is expanded in order, and every child goes straight into the dedup
+//      StateMap — one insert per child, which both tests membership and
+//      records a new state — and new states join per-popcount buckets.
+//      Children have strictly smaller popcount than their parent, so a
+//      single k→1 descent discovers everything. Expansion aborts once a
+//      state budget is exceeded (singleton tests can make R = 2^k).
 //   2. Layout: buckets are sorted ascending and concatenated popcount-
 //      ascending (∅ = slot 0, U = last slot), mirroring LayerIndex order;
-//      the StateMap is rebuilt as mask -> slot; p(S) per slot is derived
-//      with the same association as subset_weight_table(), bitwise.
+//      each state's map cell is pointed at its slot; p(S) per slot is
+//      derived with the same association as subset_weight_table(), bitwise.
 //   3. Bottom-up waves: per layer, gather rows (child slots, action-major)
-//      are built chunk-by-chunk into per-thread scratch and evaluated by
-//      eval_states_sparse (kernel_sparse.hpp). Chunks are deterministic
-//      functions of (layer, N); writes are per-state disjoint and reads
-//      touch only finalized layers (or the state's own still-kInf slot),
-//      so the result is bitwise identical to SequentialSolver on R
-//      regardless of the pool width — ties included.
+//      are built chunk by chunk into the arena and evaluated by
+//      eval_states_sparse (kernel_sparse.hpp). Reads touch only finalized
+//      layers (or the state's own still-kInf slot), so the result is
+//      bitwise identical to SequentialSolver on R — ties included.
+//
+// The solve is serial: the serving tier runs one instance per BatchSolver
+// worker, so its parallelism comes from independent requests, and a
+// per-solve thread fan-out measured slower than this path on every closure
+// the planner keeps sparse (docs/kernel.md).
 //
 // Cost model (normative, see solver.hpp): parallel_steps == total_ops ==
 // the number of M-evaluations actually performed == N·(|R|−1) — the
@@ -31,8 +34,8 @@
 // and "frontier_states" breakdown counters record the same numbers.
 //
 // Sparse results leave SolveResult::table EMPTY (no 2^k vectors — that is
-// the point); cost/tree/steps/breakdown are fully populated. Callers that
-// need per-state tables use solve_sparse(..., FrontierTables*).
+// the point); cost/tree/steps/breakdown are fully populated. The per-slot
+// tables stay in the FrontierArena until its next expansion.
 //
 // The adaptive planner (solve_adaptive) arbitrates dense vs sparse per
 // instance: below min_sparse_k the dense arena path wins outright (no hash
@@ -46,7 +49,6 @@
 // solve's own expansion is the tier's admission test.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -56,7 +58,6 @@
 #include "tt/kernel.hpp"
 #include "tt/kernel_sparse.hpp"
 #include "tt/solver.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ttp::tt {
 
@@ -65,8 +66,8 @@ namespace ttp::tt {
 /// caps for planning and admission.
 inline constexpr std::size_t kSparseBytesPerState = 40;
 
-/// Planner knobs shared by the standalone FrontierSolver, BatchSolver's
-/// per-instance dispatch, and svc admission.
+/// Planner knobs for solve_adaptive: BatchSolver's per-instance dispatch,
+/// and through it the svc sparse tier's admission.
 struct FrontierConfig {
   /// Hard cap on closure states; 0 derives the cap from max_state_bytes.
   std::size_t max_states = 0;
@@ -88,10 +89,11 @@ struct FrontierConfig {
   std::size_t state_budget(int k) const;
 };
 
-/// Reusable storage for one frontier-solving thread: closure buckets, the
-/// mask->slot map, and the slot-indexed tables. Treat as opaque outside
-/// tt; contents are only valid between expand_reachable() and the solve
-/// that consumes them.
+/// Reusable storage for one solving thread: closure buckets, the
+/// mask->slot map, the slot-indexed tables, the instance's action SoA and
+/// the wave's gather rows. Treat as opaque outside tt; contents are only
+/// valid between expand_reachable() and the solve that consumes them (the
+/// slot tables until the next expansion).
 struct FrontierArena {
   StateMap map;
   std::vector<std::vector<Mask>> buckets;  ///< pending states by popcount
@@ -100,8 +102,9 @@ struct FrontierArena {
   AlignedBuf<double> ws;                   ///< p(S) per slot
   AlignedBuf<double> cost;                 ///< C(S) per slot
   AlignedBuf<int> best;                    ///< argmin per slot
-  AlignedBuf<Mask> cand;                   ///< parallel-emit scratch
-  AlignedBuf<std::uint32_t> cand_n;        ///< children per scratch row
+  ActionSoA soa;                           ///< built by expand_reachable
+  AlignedBuf<std::uint32_t> inter;         ///< wave chunk's C(S∩T_i) slots
+  AlignedBuf<std::uint32_t> minus;         ///< wave chunk's C(S−T_i) slots
   std::size_t states = 0;                  ///< |R| incl. ∅ after expansion
   bool complete = false;                   ///< closure finished under budget
 };
@@ -117,13 +120,10 @@ struct ClosureResult {
 /// states are discovered. With `top_check`, it also stops as soon as layer
 /// k−2 is complete if more than half of that layer is reachable (see the
 /// header comment). On completion the arena holds the laid-out closure
-/// (masks/layer_off/map/ws) ready for the sparse waves; on a stop only
-/// `states` is meaningful. `pool` parallelizes the per-layer emit phase;
-/// nullptr runs serially (the batch-worker mode). Deterministic either way.
+/// (masks/layer_off/map/ws/soa) ready for the sparse waves; on a stop only
+/// `states` is meaningful.
 ClosureResult expand_reachable(const Instance& ins, std::size_t max_states,
-                               FrontierArena& arena,
-                               util::ThreadPool* pool = nullptr,
-                               bool top_check = false);
+                               FrontierArena& arena, bool top_check = false);
 
 /// What solve_adaptive throws when k is above the dense ceiling and the
 /// budget-capped closure overruns: no path can serve the instance under
@@ -134,52 +134,26 @@ struct ClosureOverBudget : std::runtime_error {
   std::size_t states;  ///< Discovered when the cap tripped: a lower bound.
 };
 
-/// Test/bench view of the sparse tables (copies of the arena's storage).
-struct FrontierTables {
-  std::vector<Mask> masks;
-  std::vector<std::size_t> layer_off;
-  std::vector<double> cost;
-  std::vector<int> best;
-};
-
 /// Adaptive solve on caller-owned arenas: dense below min_sparse_k, on
 /// budget-capped closures and on full top layers (k ≤ dense_max_k), sparse
 /// otherwise. The top-layer check runs only while dense_crossover < 1, so
-/// a caller that sets it to 1 forces the sparse path. Throws
+/// a caller that sets it to 1 (and min_sparse_k to 0) forces the sparse
+/// path; a sparse solve leaves its slot tables in `sparse`. Throws
 /// ClosureOverBudget when the closure exceeds budget AND k > dense_max_k.
 /// Single caller per (dense, sparse) arena pair at a time — same aliasing
 /// rule as solver_batch.hpp. `span_name` names the root trace span.
 SolveResult solve_adaptive(const Instance& ins, SolveArena& dense,
                            FrontierArena& sparse, const FrontierConfig& cfg,
-                           util::ThreadPool* pool = nullptr,
                            std::string_view span_name = "solve.frontier");
 
-/// Standalone frontier solver owning its pool and arenas. solve() is the
-/// adaptive planner with parallel expansion and waves; solve_sparse()
-/// forces the sparse path (throws when the closure exceeds the budget) and
-/// can hand the slot tables back for inspection.
-///
-/// Thread safety: the arenas are shared mutable state, so solve() is
-/// single-caller — concurrent calls on one FrontierSolver race (debug
-/// builds assert). Distinct instances are independent.
-class FrontierSolver {
- public:
-  /// `workers` == 0 -> hardware concurrency.
-  explicit FrontierSolver(std::size_t workers = 0, FrontierConfig cfg = {});
-
-  SolveResult solve(const Instance& ins) const;
-  SolveResult solve_sparse(const Instance& ins,
-                           FrontierTables* tables = nullptr) const;
-
-  std::size_t workers() const noexcept { return pool_.size(); }
-  const FrontierConfig& config() const noexcept { return cfg_; }
-
- private:
-  mutable util::ThreadPool pool_;
-  mutable SolveArena dense_arena_;
-  mutable FrontierArena arena_;
-  mutable std::atomic<bool> in_solve_{false};  ///< debug re-entrancy guard
-  FrontierConfig cfg_;
-};
+/// The call form from when the sparse path took a worker pool as its fifth
+/// argument (only a null one is accepted now); perfbench's in-process pass
+/// still spells it.
+inline SolveResult solve_adaptive(const Instance& ins, SolveArena& dense,
+                                  FrontierArena& sparse,
+                                  const FrontierConfig& cfg, std::nullptr_t,
+                                  std::string_view span_name) {
+  return solve_adaptive(ins, dense, sparse, cfg, span_name);
+}
 
 }  // namespace ttp::tt

@@ -14,8 +14,8 @@ class SequentialSolver {
   ///
   /// Thread safety: the reusable SolveArena behind this is thread_local,
   /// so one SequentialSolver may be shared across threads freely — unlike
-  /// ThreadsSolver/FrontierSolver, whose member arenas make solve()
-  /// single-caller per object (see solver_threads.hpp).
+  /// ThreadsSolver, whose member arenas make solve() single-caller per
+  /// object (see solver_threads.hpp).
   SolveResult solve(const Instance& ins) const;
 };
 

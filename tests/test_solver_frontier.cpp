@@ -74,36 +74,47 @@ void expect_same_tree(const Tree& a, const Tree& b) {
   }
 }
 
+/// The planner config that sends every instance down the sparse path: no
+/// dense floor, and a crossover of 1 disarms the top-layer check and lets
+/// the closure grow to the full lattice.
+FrontierConfig forced_sparse() {
+  FrontierConfig cfg;
+  cfg.min_sparse_k = 0;
+  cfg.dense_crossover = 1.0;
+  return cfg;
+}
+
 /// The core contract: on every reachable state the sparse tables must be
 /// BITWISE identical to the dense DP — cost, argmin, tree, and the
 /// restricted step accounting.
 void expect_dense_sparse_identical(const Instance& ins) {
   const SolveResult dense = SequentialSolver().solve(ins);
-  FrontierTables tables;
-  const FrontierSolver frontier(2);
-  const SolveResult sparse = frontier.solve_sparse(ins, &tables);
+  SolveArena dense_arena;
+  FrontierArena arena;
+  const SolveResult sparse =
+      solve_adaptive(ins, dense_arena, arena, forced_sparse());
 
   EXPECT_EQ(sparse.cost, dense.cost);  // bitwise (== on identical doubles)
   expect_same_tree(sparse.tree, dense.tree);
   EXPECT_TRUE(sparse.table.cost.empty());  // no 2^k tables — the point
 
-  ASSERT_FALSE(tables.masks.empty());
-  for (std::size_t slot = 0; slot < tables.masks.size(); ++slot) {
-    const Mask m = tables.masks[slot];
+  ASSERT_GT(arena.states, 0u);
+  for (std::size_t slot = 0; slot < arena.states; ++slot) {
+    const Mask m = arena.masks.data()[slot];
     const std::size_t mi = static_cast<std::size_t>(m);
-    EXPECT_EQ(tables.cost[slot], dense.table.cost[mi]) << "mask " << m;
-    EXPECT_EQ(tables.best[slot], dense.table.best_action[mi]) << "mask " << m;
+    EXPECT_EQ(arena.cost.data()[slot], dense.table.cost[mi]) << "mask " << m;
+    EXPECT_EQ(arena.best.data()[slot], dense.table.best_action[mi])
+        << "mask " << m;
   }
 
   // Restricted sequential cost model: every reachable non-empty state is
   // evaluated against all N actions, once.
   const std::uint64_t expect_ops =
-      static_cast<std::uint64_t>(tables.masks.size() - 1) *
+      static_cast<std::uint64_t>(arena.states - 1) *
       static_cast<std::uint64_t>(ins.num_actions());
   EXPECT_EQ(sparse.steps.total_ops, expect_ops);
   EXPECT_EQ(sparse.steps.parallel_steps, expect_ops);
-  EXPECT_EQ(sparse.breakdown.get("frontier_states"),
-            tables.masks.size());
+  EXPECT_EQ(sparse.breakdown.get("frontier_states"), arena.states);
 }
 
 TEST(FrontierStateMap, InsertFindGrowAndReject) {
@@ -169,7 +180,9 @@ TEST(FrontierClosure, IntervalInstanceHasQuadraticClosure) {
     const std::size_t e = arena.layer_off[static_cast<std::size_t>(j) + 1];
     for (std::size_t s = b; s < e; ++s) {
       EXPECT_EQ(util::popcount(arena.masks.data()[s]), j);
-      if (s > b) EXPECT_LT(arena.masks.data()[s - 1], arena.masks.data()[s]);
+      if (s > b) {
+        EXPECT_LT(arena.masks.data()[s - 1], arena.masks.data()[s]);
+      }
       EXPECT_EQ(arena.map.find(arena.masks.data()[s]),
                 static_cast<std::uint32_t>(s));
     }
@@ -288,8 +301,10 @@ TEST(FrontierEquality, TreatmentOnlyInstances) {
 
 TEST(FrontierPlanner, DenseBelowMinSparseK) {
   const Instance ins = interval_instance(8);
-  const FrontierSolver solver(2);  // default config: min_sparse_k = 15
-  const SolveResult res = solver.solve(ins);
+  SolveArena dense;
+  FrontierArena sparse;
+  // Default config: min_sparse_k = 15.
+  const SolveResult res = solve_adaptive(ins, dense, sparse, FrontierConfig{});
   // The dense path materializes the 2^k table and records no frontier
   // counters; cost still matches the reference.
   EXPECT_FALSE(res.table.cost.empty());
@@ -301,8 +316,9 @@ TEST(FrontierPlanner, SparseAboveMinSparseK) {
   const Instance ins = interval_instance(16);
   FrontierConfig cfg;
   cfg.min_sparse_k = 15;
-  const FrontierSolver solver(2, cfg);
-  const SolveResult res = solver.solve(ins);
+  SolveArena dense;
+  FrontierArena sparse;
+  const SolveResult res = solve_adaptive(ins, dense, sparse, cfg);
   EXPECT_TRUE(res.table.cost.empty());
   EXPECT_GT(res.breakdown.get("frontier_states"), 0u);
   EXPECT_EQ(res.cost, SequentialSolver().solve(ins).cost);
@@ -315,8 +331,9 @@ TEST(FrontierPlanner, BudgetOvershootFallsBackDense) {
   FrontierConfig cfg;
   cfg.min_sparse_k = 2;
   cfg.max_states = 64;
-  const FrontierSolver solver(2, cfg);
-  const SolveResult res = solver.solve(ins);
+  SolveArena dense;
+  FrontierArena sparse;
+  const SolveResult res = solve_adaptive(ins, dense, sparse, cfg);
   EXPECT_EQ(res.breakdown.get("frontier_fallback"), 1u);
   EXPECT_FALSE(res.table.cost.empty());
   EXPECT_EQ(res.cost, SequentialSolver().solve(ins).cost);
@@ -328,8 +345,10 @@ TEST(FrontierPlanner, ThrowsWhenCappedAboveTheDenseCeiling) {
   cfg.min_sparse_k = 2;
   cfg.max_states = 64;
   cfg.dense_max_k = 8;  // no dense fallback for k = 9
-  const FrontierSolver solver(2, cfg);
-  EXPECT_THROW((void)solver.solve(ins), std::runtime_error);
+  SolveArena dense;
+  FrontierArena sparse;
+  EXPECT_THROW((void)solve_adaptive(ins, dense, sparse, cfg),
+               ClosureOverBudget);
 }
 
 TEST(FrontierPlanner, OverBudgetThrowReleasesTheClosureMap) {
@@ -348,14 +367,6 @@ TEST(FrontierPlanner, OverBudgetThrowReleasesTheClosureMap) {
   const Instance ins = interval_instance(12);
   EXPECT_EQ(solve_adaptive(ins, dense, sparse, cfg).cost,
             SequentialSolver().solve(ins).cost);
-}
-
-TEST(FrontierPlanner, ForcedSparseThrowsOnPinnedBudget) {
-  FrontierConfig cfg;
-  cfg.max_states = 16;
-  const FrontierSolver solver(1, cfg);
-  EXPECT_THROW((void)solver.solve_sparse(singleton_instance(8)),
-               std::runtime_error);
 }
 
 TEST(FrontierPlanner, EstimatorExactAndCapped) {
@@ -419,8 +430,8 @@ TEST(FrontierPlanner, DomainFamiliesTakeTheTopLayerVerdict) {
     SCOPED_TRACE("family " + std::to_string(family));
     const Instance ins = domain_instance(family, k, rng);
     FrontierArena probe;
-    const ClosureResult cr = expand_reachable(ins, cfg.state_budget(k), probe,
-                                              nullptr, /*top_check=*/true);
+    const ClosureResult cr =
+        expand_reachable(ins, cfg.state_budget(k), probe, /*top_check=*/true);
     EXPECT_TRUE(cr.top_full);
     EXPECT_LE(cr.expanded, top_layers(k));
     EXPECT_LT(cr.states, cfg.state_budget(k));
@@ -462,22 +473,28 @@ TEST(FrontierPlanner, RandomFamilyStaysSparseAndIdenticalOnR) {
 TEST(FrontierPlanner, ReusedArenaBoundsItsMapByTheLatestClosure) {
   // A batch worker keeps one arena per thread. After a full-lattice k = 16
   // closure, a small closure on the same arena must leave the map sized
-  // for itself, not keep (and clear) the large one's array; both results
-  // stay bitwise identical to the sequential tables on R.
+  // for itself, not keep (and clear) the large one's array. The middle
+  // instance has more actions than either neighbour, so the arena's action
+  // SoA and gather rows grow for it and are then reused at a smaller N;
+  // every result stays bitwise identical to the sequential tables on R.
   SolveArena dense;
   FrontierArena sparse;
-  FrontierConfig forced;
-  forced.min_sparse_k = 0;
-  forced.dense_crossover = 1.0;
+  const FrontierConfig forced = forced_sparse();
   // The cells an expansion reserves for a closure of `states` states.
   const auto need = [](std::size_t states) {
     return std::bit_ceil(2 * std::max<std::size_t>(states, 4096));
   };
+  const Instance wide = interval_instance(12, /*pad_actions=*/40);
+  ASSERT_GT(wide.num_actions(), singleton_instance(16).num_actions());
   std::size_t large_cap = 0;
-  for (const Instance& ins : {singleton_instance(16), interval_instance(12)}) {
-    SCOPED_TRACE("k=" + std::to_string(ins.k()));
+  for (const Instance& ins :
+       {singleton_instance(16), wide, interval_instance(12)}) {
+    SCOPED_TRACE("k=" + std::to_string(ins.k()) +
+                 " N=" + std::to_string(ins.num_actions()));
     const SolveResult res = solve_adaptive(ins, dense, sparse, forced);
     ASSERT_EQ(res.breakdown.get("frontier_states"), sparse.states);
+    EXPECT_EQ(sparse.soa.set.size(),
+              static_cast<std::size_t>(ins.num_actions()));
     const SolveResult ref = SequentialSolver().solve(ins);
     EXPECT_EQ(res.cost, ref.cost);
     expect_same_tree(res.tree, ref.tree);
@@ -503,10 +520,7 @@ TEST(FrontierPlanner, CrossoverOneNeverTakesTheTopLayerVerdict) {
   const Instance ins = medical_instance(k, k, rng);
   SolveArena dense;
   FrontierArena sparse;
-  FrontierConfig forced;
-  forced.min_sparse_k = 0;
-  forced.dense_crossover = 1.0;
-  const SolveResult res = solve_adaptive(ins, dense, sparse, forced);
+  const SolveResult res = solve_adaptive(ins, dense, sparse, forced_sparse());
   EXPECT_EQ(res.breakdown.get("frontier_fallback"), 0u);
   EXPECT_GT(res.breakdown.get("frontier_states"), top_layers(k));
   EXPECT_EQ(res.cost, SequentialSolver().solve(ins).cost);
@@ -518,9 +532,9 @@ TEST(FrontierPlanner, CrossoverOneNeverTakesTheTopLayerVerdict) {
                 .breakdown.get("frontier_fallback"),
             1u);
   FrontierArena probe;
-  EXPECT_TRUE(expand_reachable(ins, cfg.state_budget(k), probe, nullptr,
-                               /*top_check=*/true)
-                  .top_full);
+  EXPECT_TRUE(
+      expand_reachable(ins, cfg.state_budget(k), probe, /*top_check=*/true)
+          .top_full);
 }
 
 }  // namespace
