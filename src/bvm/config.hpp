@@ -14,8 +14,6 @@
 #include <cstddef>
 #include <stdexcept>
 
-#include "net/ccc.hpp"
-
 namespace ttp::bvm {
 
 struct BvmConfig {
@@ -45,8 +43,6 @@ struct BvmConfig {
     }
     throw std::invalid_argument("BvmConfig::for_dims: dims too small/large");
   }
-
-  net::CccConfig topology() const { return net::CccConfig{r, h}; }
 
   void check() const {
     if (r < 1 || h < 1 || h > Q() || dims() > 26 || regs < 8 || regs > 4096) {

@@ -313,14 +313,10 @@ bool Machine::peek(Reg reg, std::size_t pe) const {
 
 void Machine::poke(Reg reg, std::size_t pe, bool v) {
   resolve_mut(reg).set(pe, v);
-  ++host_ops_;
 }
 
 const BitVec& Machine::row(Reg reg) const { return resolve(reg); }
-BitVec& Machine::row(Reg reg) {
-  ++host_ops_;
-  return resolve_mut(reg);
-}
+BitVec& Machine::row(Reg reg) { return resolve_mut(reg); }
 
 std::uint64_t Machine::peek_value(int base, int bits, std::size_t pe) const {
   std::uint64_t v = 0;
@@ -336,7 +332,6 @@ void Machine::poke_value(int base, int bits, std::size_t pe, std::uint64_t v) {
   for (int t = 0; t < bits; ++t) {
     r_.at(static_cast<std::size_t>(base + t)).set(pe, ((v >> t) & 1u) != 0);
   }
-  ++host_ops_;
 }
 
 }  // namespace ttp::bvm

@@ -66,7 +66,6 @@ class Machine {
   /// Reads/writes a whole register row.
   const BitVec& row(Reg reg) const;
   BitVec& row(Reg reg);
-  std::uint64_t host_ops() const noexcept { return host_ops_; }
 
   /// Reads the p-bit little-endian value spread over registers
   /// R[base..base+p-1] at one PE (host DMA).
@@ -80,9 +79,6 @@ class Machine {
   }
   int pos_of(std::size_t pe) const noexcept {
     return static_cast<int>(pe & (static_cast<std::size_t>(cfg_.Q()) - 1));
-  }
-  std::size_t cycle_of(std::size_t pe) const noexcept {
-    return pe >> cfg_.r;
   }
 
  private:
@@ -111,7 +107,6 @@ class Machine {
   std::deque<bool> input_;
   std::vector<bool> output_;
   std::uint64_t instr_count_ = 0;
-  std::uint64_t host_ops_ = 0;
   std::ostream* trace_ = nullptr;
   std::vector<Instr>* recorder_ = nullptr;
 

@@ -258,30 +258,6 @@ class Span {
     }
   }
 
-  // Explicit-tracer overloads (tests construct spans against tracer()
-  // directly; behavior is identical to the name-first constructors).
-  Span(Tracer& t, std::string_view name) {
-    if (t.enabled()) start(t, name, Tracer::StepProbe{});
-  }
-  Span(Tracer& t, std::string_view name, const std::uint64_t& instr_counter) {
-    if (t.enabled()) {
-      start(t, name, Tracer::StepProbe{&instr_counter, nullptr, nullptr});
-    }
-  }
-  template <typename SC>
-    requires requires(const SC& s) {
-      s.parallel_steps;
-      s.route_steps;
-      s.total_ops;
-    }
-  Span(Tracer& t, std::string_view name, const SC& sc) {
-    if (t.enabled()) {
-      start(t, name,
-            Tracer::StepProbe{&sc.parallel_steps, &sc.route_steps,
-                              &sc.total_ops});
-    }
-  }
-
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 

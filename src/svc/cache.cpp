@@ -14,10 +14,9 @@ std::size_t approx_bytes(const CachedProcedure& proc) {
   constexpr std::size_t kAllocHeader = 16;  // malloc bookkeeping per alloc
   // make_shared control block: vptr + two refcounts, padded.
   constexpr std::size_t kControlBlock = 4 * sizeof(void*);
-  // std::list node: prev/next + Entry{key, shared_ptr, expiry}.
+  // std::list node: prev/next + Entry{key, shared_ptr}.
   constexpr std::size_t kListNode =
-      2 * sizeof(void*) + sizeof(CanonKey) + sizeof(std::shared_ptr<void>) +
-      sizeof(std::chrono::steady_clock::time_point);
+      2 * sizeof(void*) + sizeof(CanonKey) + sizeof(std::shared_ptr<void>);
   // unordered_map node: next ptr + cached hash + pair<key, iterator>, plus
   // this entry's share of the bucket array.
   constexpr std::size_t kMapNode = 2 * sizeof(void*) + sizeof(CanonKey) +
@@ -33,7 +32,6 @@ ProcedureCache::ProcedureCache(CacheConfig cfg, obs::MetricsRegistry& metrics)
       misses_(metrics.counter("svc.cache.misses")),
       inserts_(metrics.counter("svc.cache.inserts")),
       evictions_(metrics.counter("svc.cache.evictions")),
-      expired_(metrics.counter("svc.cache.expired")),
       bytes_gauge_(metrics.gauge("svc.cache.bytes")) {
   const std::size_t n = std::bit_ceil(std::max<std::size_t>(cfg_.shards, 1));
   shards_.reserve(n);
@@ -54,41 +52,25 @@ void ProcedureCache::publish_bytes() { bytes_gauge_.set(double(bytes())); }
 std::shared_ptr<const CachedProcedure> ProcedureCache::find(
     const CanonKey& key, bool count_miss) {
   Shard& s = shard_of(key);
-  std::shared_ptr<const CachedProcedure> out;
-  bool erased = false;
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    const auto it = s.index.find(key);
-    if (it == s.index.end()) {
-      if (count_miss) misses_.add(1);
-      return nullptr;
-    }
-    if (cfg_.ttl.count() > 0 && cfg_.now() >= it->second->expiry) {
-      erase_locked(s, it->second);
-      expired_.add(1);
-      if (count_miss) misses_.add(1);
-      erased = true;
-    } else {
-      s.lru.splice(s.lru.begin(), s.lru, it->second);  // bump to MRU
-      out = it->second->proc;
-      hits_.add(1);
-    }
+  std::lock_guard<std::mutex> lock(s.mu);
+  const auto it = s.index.find(key);
+  if (it == s.index.end()) {
+    if (count_miss) misses_.add(1);
+    return nullptr;
   }
-  if (erased) publish_bytes();
-  return out;
+  s.lru.splice(s.lru.begin(), s.lru, it->second);  // bump to MRU
+  hits_.add(1);
+  return it->second->proc;
 }
 
 void ProcedureCache::insert(const CanonKey& key,
                             std::shared_ptr<const CachedProcedure> p) {
-  const auto expiry = cfg_.ttl.count() > 0
-                          ? cfg_.now() + cfg_.ttl
-                          : Clock::time_point::max();
   Shard& s = shard_of(key);
   {
     std::lock_guard<std::mutex> lock(s.mu);
     const auto it = s.index.find(key);
     if (it != s.index.end()) erase_locked(s, it->second);
-    s.lru.push_front(Entry{key, std::move(p), expiry});
+    s.lru.push_front(Entry{key, std::move(p)});
     s.bytes += s.lru.front().proc->bytes;
     s.index.emplace(key, s.lru.begin());
     inserts_.add(1);

@@ -8,18 +8,16 @@
 //
 // Entries are handed out as shared_ptr<const CachedProcedure>, so an entry
 // evicted while a response is still being serialized stays alive until the
-// last reader drops it. TTL is optional (0 = entries never expire) and the
-// clock is injectable so tests can expire entries without sleeping.
+// last reader drops it. Entries never expire: a cached procedure is a pure
+// function of its canonical instance, so only the byte budget evicts.
 //
 // Counters land in the owning service's obs::MetricsRegistry under
-// svc.cache.{hits,misses,inserts,evictions,expired} with a svc.cache.bytes
+// svc.cache.{hits,misses,inserts,evictions} with a svc.cache.bytes
 // gauge; they are always on (the registry is the service's own, not the
 // global tracer's, so serving stats exist even with TTP_TRACE=off).
 #pragma once
 
-#include <chrono>
 #include <cstddef>
-#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -48,10 +46,6 @@ std::size_t approx_bytes(const CachedProcedure& proc);
 struct CacheConfig {
   std::size_t capacity_bytes = std::size_t{64} << 20;
   std::size_t shards = 8;  ///< Rounded up to a power of two, minimum 1.
-  std::chrono::nanoseconds ttl{0};  ///< 0 = no expiry.
-  /// Time source (tests inject a fake clock to exercise TTL).
-  std::function<std::chrono::steady_clock::time_point()> now =
-      [] { return std::chrono::steady_clock::now(); };
 };
 
 class ProcedureCache {
@@ -61,10 +55,9 @@ class ProcedureCache {
   ProcedureCache(const ProcedureCache&) = delete;
   ProcedureCache& operator=(const ProcedureCache&) = delete;
 
-  /// Hit: bumps the entry to most-recent and returns it. Expired or absent:
-  /// counts a miss (plus svc.cache.expired for lazily collected entries)
-  /// and returns nullptr. `count_miss = false` is for a re-check of a key
-  /// whose miss the same request already counted.
+  /// Hit: bumps the entry to most-recent and returns it. Absent: counts a
+  /// miss and returns nullptr. `count_miss = false` is for a re-check of a
+  /// key whose miss the same request already counted.
   std::shared_ptr<const CachedProcedure> find(const CanonKey& key,
                                               bool count_miss = true);
 
@@ -81,12 +74,9 @@ class ProcedureCache {
   std::size_t capacity_bytes() const noexcept { return cfg_.capacity_bytes; }
 
  private:
-  using Clock = std::chrono::steady_clock;
-
   struct Entry {
     CanonKey key;
     std::shared_ptr<const CachedProcedure> proc;
-    Clock::time_point expiry;  ///< time_point::max() when TTL is off.
   };
   struct Shard {
     mutable std::mutex mu;
@@ -111,7 +101,6 @@ class ProcedureCache {
   obs::Counter& misses_;
   obs::Counter& inserts_;
   obs::Counter& evictions_;
-  obs::Counter& expired_;
   obs::Gauge& bytes_gauge_;
 };
 

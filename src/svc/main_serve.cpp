@@ -16,7 +16,6 @@
 //   --workers=N          BatchSolver pool width (hardware)
 //   --cache-mb=N         procedure cache capacity in MiB (64)
 //   --shards=N           cache shards, rounded to a power of two (8)
-//   --ttl-ms=N           cache entry TTL, 0 = never expire (0)
 //   --max-k=N            admission: dense-solver k ceiling (20)
 //   --max-actions=N      admission: reject N above this (4096)
 //   --max-sparse-k=N     admission: sparse-solver k ceiling; k in
@@ -61,10 +60,9 @@ using ttp::svc::Service;
 [[noreturn]] void usage(int code) {
   std::cout
       << "usage: ttp_serve [--port=N] [--workers=N] [--cache-mb=N]\n"
-         "                 [--shards=N] [--ttl-ms=N] [--max-k=N]\n"
-         "                 [--max-actions=N] [--max-sparse-k=N]\n"
-         "                 [--sparse-budget-mb=N] [--max-queue=N]\n"
-         "                 [--max-batch=N]\n"
+         "                 [--shards=N] [--max-k=N] [--max-actions=N]\n"
+         "                 [--max-sparse-k=N] [--sparse-budget-mb=N]\n"
+         "                 [--max-queue=N] [--max-batch=N]\n"
          "                 [--batch-delay-us=N] [--slow-ms=N]\n"
          "                 [--slow-log=PATH] [--flight-cap=N]\n"
          "                 [--max-conns=N] [--idle-timeout-ms=N]\n"

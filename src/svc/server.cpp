@@ -79,8 +79,6 @@ bool parse_serve_args(int argc, const char* const* argv, ServeArgs& args,
            }},
           {"--shards", 1, 1024,
            [&](long v) { c.cache.shards = static_cast<std::size_t>(v); }},
-          {"--ttl-ms", 0, 1'000'000'000L,
-           [&](long v) { c.cache.ttl = std::chrono::milliseconds(v); }},
           {"--max-k", 1, 32,
            [&](long v) { c.scheduler.max_k = static_cast<int>(v); }},
           {"--max-actions", 1, 1'000'000,

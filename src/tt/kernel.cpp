@@ -1,7 +1,7 @@
 // The layer-wave kernel: the scalar tile both waves run, variant
-// resolution, the pair phase, and the arena solve loop. Compiled with
-// -ffp-contract=off (src/CMakeLists.txt) so no multiply/add pair contracts
-// into an FMA that the AVX2 path does not also perform.
+// resolution, and the arena solve loop. Compiled with -ffp-contract=off
+// (src/CMakeLists.txt) so no multiply/add pair contracts into an FMA that
+// the AVX2 path does not also perform.
 #include "tt/kernel.hpp"
 
 #include <algorithm>
@@ -290,54 +290,6 @@ std::uint64_t eval_states(const ActionSoA& a, const double* wt,
     eval_tile(a, MaskRows{wt}, states + base, m, cost, best);
   }
   return evals;
-}
-
-void eval_pairs(const ActionSoA& a, const double* wt, const double* cost,
-                const Mask* states, std::size_t begin, std::size_t end,
-                double* m) {
-  TTP_TRACE_SPAN(span, "kernel.pairs");
-  span.attr("pairs", static_cast<std::uint64_t>(end - begin));
-  const std::size_t n = static_cast<std::size_t>(a.num_actions);
-  std::size_t pos = begin / n;
-  std::size_t i = begin % n;
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    const Mask s = states[pos];
-    const Mask inter = s & a.set[i];
-    const Mask minus = s & a.nset[i];
-    double v;
-    if (i < static_cast<std::size_t>(a.num_tests)) {
-      v = m_test_value(a.cost[i], wt[s], cost[inter], cost[minus]);
-      v = (inter == 0 || minus == 0) ? kInf : v;
-    } else {
-      v = m_treat_value(a.cost[i], wt[s], cost[minus]);
-      v = inter == 0 ? kInf : v;
-    }
-    m[idx] = v;
-    if (++i == n) {
-      i = 0;
-      ++pos;
-    }
-  }
-}
-
-void reduce_pairs(const ActionSoA& a, const double* m, const Mask* states,
-                  std::size_t begin, std::size_t end, double* cost, int* best) {
-  TTP_TRACE_SPAN(span, "kernel.reduce");
-  span.attr("states", static_cast<std::uint64_t>(end - begin));
-  const std::size_t n = static_cast<std::size_t>(a.num_actions);
-  for (std::size_t pos = begin; pos < end; ++pos) {
-    const double* row = m + pos * n;
-    double bv = kInf;
-    int bi = -1;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double v = row[i];
-      const bool lt = v < bv;
-      bv = lt ? v : bv;
-      bi = lt ? static_cast<int>(i) : bi;
-    }
-    cost[states[pos]] = bv;
-    best[states[pos]] = bi;
-  }
 }
 
 SolveResult solve_with_arena(const Instance& ins, SolveArena& arena,

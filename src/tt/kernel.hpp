@@ -24,14 +24,10 @@
 //    lane-for-lane identical to the reference action_value() loop, so both
 //    produce byte-identical cost/best_action tables
 //    (tests/test_kernel_simd.cpp enforces this).
-//  * eval_pairs()/reduce_pairs() — the same evaluation split into the
-//    paper's (S,i)-pair phase plus a per-state min phase, for
-//    ThreadsSolver's pair-parallel mode. Scalar only: no serving path
-//    runs them.
-//  * SolveArena — owns the cost/best-action/M-buffer storage (64-byte
-//    aligned, growth-capped — see AlignedBuf) plus the per-k layer index
-//    and the SoA, all reused across solves so a high-QPS caller stops
-//    re-deriving layer subsets and re-allocating tables on every request.
+//  * SolveArena — owns the cost/best-action storage (64-byte aligned,
+//    growth-capped — see AlignedBuf) plus the per-k layer index and the
+//    SoA, all reused across solves so a high-QPS caller stops re-deriving
+//    layer subsets and re-allocating tables on every request.
 //  * solve_with_arena() — the full sequential layer sweep on arena
 //    storage: the serving hot path shared by SequentialSolver and
 //    BatchSolver (solver_batch.hpp).
@@ -83,8 +79,8 @@ inline double m_treat_value(double t_cost, double ps,
 // Kernel variant selection
 
 /// The dense wave implementations. kScalar is the normative reference;
-/// kSimdAvx2 is a byte-identical acceleration of it. The sparse wave and
-/// the pair phase always run the scalar tile.
+/// kSimdAvx2 is a byte-identical acceleration of it. The sparse wave
+/// always runs the scalar tile.
 enum class KernelVariant {
   kScalar,    ///< Reference tiles.
   kSimdAvx2,  ///< AVX2 gathers + blends; needs CPU + build support.
@@ -150,10 +146,10 @@ class LayerIndex {
 
 /// 64-byte-aligned, growth-capped storage for the arena's flat tables.
 /// resize_discard() never copies old contents on growth — every user fully
-/// reinitializes (prepare_tables, the frontier tables, the pair-phase M
-/// buffer) — and capacity is monotone, so steady-state arena reuse touches
-/// the allocator exactly zero times. Alignment is asserted in debug builds;
-/// 64 bytes covers a full cache line and every vector width up to AVX-512.
+/// reinitializes (prepare_tables, the frontier tables) — and capacity is
+/// monotone, so steady-state arena reuse touches the allocator exactly zero
+/// times. Alignment is asserted in debug builds; 64 bytes covers a full
+/// cache line and every vector width up to AVX-512.
 template <typename T>
 class AlignedBuf {
   static_assert(std::is_trivial_v<T>,
@@ -213,18 +209,6 @@ std::uint64_t eval_states(const ActionSoA& a, const double* wt,
                           const Mask* states, std::size_t count, double* cost,
                           int* best);
 
-/// Pair phase of the paper's decomposition: M[S,i] for the pair indices
-/// [begin, end) of a layer, where pair idx maps to (states[idx / N],
-/// idx % N). Results land in m[idx] (layer-relative layout).
-void eval_pairs(const ActionSoA& a, const double* wt, const double* cost,
-                const Mask* states, std::size_t begin, std::size_t end,
-                double* m);
-
-/// Reduce phase: per-state min over m[pos·N .. pos·N+N) for state positions
-/// [begin, end), ascending i so ties match eval_states exactly.
-void reduce_pairs(const ActionSoA& a, const double* m, const Mask* states,
-                  std::size_t begin, std::size_t end, double* cost, int* best);
-
 /// Reusable solve storage. One arena per solving thread; everything grows
 /// monotonically and is recycled across solves, so steady-state serving
 /// performs no layer re-derivation and no table allocation beyond the
@@ -252,19 +236,11 @@ class SolveArena {
   int* best() noexcept { return best_.data(); }
   const int* best() const noexcept { return best_.data(); }
 
-  /// M-buffer of at least n doubles for the pair-parallel phases (contents
-  /// indeterminate — every pair slot is written before it is read).
-  double* m_buffer(std::size_t n) {
-    if (m_.size() < n) m_.resize_discard(n);
-    return m_.data();
-  }
-
  private:
   LayerIndex layers_;
   ActionSoA soa_;
   AlignedBuf<double> cost_;
   AlignedBuf<int> best_;
-  AlignedBuf<double> m_;
 };
 
 /// Full sequential layer-wave solve on `arena` storage. Identical results

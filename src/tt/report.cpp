@@ -3,9 +3,6 @@
 #include <ostream>
 #include <sstream>
 
-#include "obs/export.hpp"
-#include "obs/trace.hpp"
-
 namespace ttp::tt {
 
 std::string describe(const Instance& ins) {
@@ -41,15 +38,6 @@ void print_result(std::ostream& os, const Instance& ins,
   for (const auto& [name, v] : res.breakdown.all()) {
     os << "  " << name << " = " << v << '\n';
   }
-}
-
-void print_span_tree(std::ostream& os) {
-  obs::Tracer& tr = obs::tracer();
-  if (!tr.enabled()) return;
-  const std::vector<obs::SpanRecord> spans = tr.snapshot();
-  if (spans.empty()) return;
-  os << "trace spans:\n";
-  obs::write_span_tree(os, spans);
 }
 
 }  // namespace ttp::tt

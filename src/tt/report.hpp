@@ -15,8 +15,4 @@ std::string describe(const Instance& ins);
 void print_result(std::ostream& os, const Instance& ins,
                   const SolveResult& res, const std::string& solver_name);
 
-/// Dumps the global tracer's recorded spans as an indented tree (no-op when
-/// tracing is off or no spans were recorded). Pairs with TTP_TRACE=spans.
-void print_span_tree(std::ostream& os);
-
 }  // namespace ttp::tt

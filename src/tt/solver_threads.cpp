@@ -46,12 +46,7 @@ SolveResult ThreadsSolver::solve(const Instance& ins) const {
   TTP_TRACE_SPAN(root_span, "solve.threads", res.steps);
   root_span.attr("k", k);
   root_span.attr("workers", pool_.size());
-  root_span.attr("mode", mode_ == Mode::kStateParallel ? "state_parallel"
-                                                       : "pair_parallel");
-  // The pair phase is scalar-only, whatever eval_states runs.
-  root_span.attr("kernel", mode_ == Mode::kStateParallel
-                               ? active_kernel_variant_name()
-                               : kernel_variant_name(KernelVariant::kScalar));
+  root_span.attr("kernel", active_kernel_variant_name());
 
   const LayerIndex& layers = arena_.layers(k);
   const ActionSoA& soa = arena_.actions(ins);
@@ -66,23 +61,10 @@ SolveResult ThreadsSolver::solve(const Instance& ins) const {
     const std::span<const Mask> layer = layers.layer(j);
     const std::size_t n = layer.size();
     layer_span.attr("states", static_cast<std::uint64_t>(n));
-    if (mode_ == Mode::kStateParallel) {
-      // Reads touch only layers < j (finalized); writes per-state disjoint.
-      pool_.parallel_for(n, [&](std::size_t b, std::size_t e) {
-        eval_states(soa, wtp, layer.data() + b, e - b, cost, best);
-      });
-    } else {
-      // Phase 1: every (S, i) pair independently, like the paper's PEs.
-      const std::size_t pairs = n * static_cast<std::size_t>(N);
-      double* m = arena_.m_buffer(pairs);
-      pool_.parallel_for(pairs, [&](std::size_t b, std::size_t e) {
-        eval_pairs(soa, wtp, cost, layer.data(), b, e, m);
-      });
-      // Phase 2: per-state minimization (ascending i: identical ties).
-      pool_.parallel_for(n, [&](std::size_t b, std::size_t e) {
-        reduce_pairs(soa, m, layer.data(), b, e, cost, best);
-      });
-    }
+    // Reads touch only layers < j (finalized); writes per-state disjoint.
+    pool_.parallel_for(n, [&](std::size_t b, std::size_t e) {
+      eval_states(soa, wtp, layer.data() + b, e - b, cost, best);
+    });
     // Normative accounting (solver.hpp): ceil(n / width) W-wide rounds,
     // each one parallel step; total_ops counts the M-evaluations actually
     // performed — n·N, exactly the sequential count, partial final round

@@ -3,17 +3,16 @@
 // The layer schedule is the same as the paper's parallel algorithm — all
 // (S, i) pairs inside layer |S| = j are independent once layers < j are
 // final — so a thread pool sweeps each layer through the shared layer-wave
-// kernel (tt/kernel.hpp). Results are bitwise identical to
-// SequentialSolver (same kernel, same tie-breaking, disjoint writes).
+// kernel (tt/kernel.hpp), one task per range of states S, each scanning
+// all N actions. Results are bitwise identical to SequentialSolver (same
+// kernel, same tie-breaking, disjoint writes).
 //
-// Normative step accounting (both modes; see solver.hpp):
+// Normative step accounting (see solver.hpp):
 //   steps.parallel_steps == Σ_j ceil(|layer j| / width)   (one step per
 //       width-wide round of N-way state evaluations)
 //   steps.total_ops      == N · (2^k − 1)                 (every M[S,i]
 //       evaluation, the partial final round charged at its true size —
 //       equal to SequentialSolver's evaluation count by construction)
-// The mode changes only the shared-memory work decomposition, never the
-// simulated cost model.
 #pragma once
 
 #include <atomic>
@@ -34,18 +33,8 @@ namespace ttp::tt {
 /// its arena thread_local and is safe to share across threads.
 class ThreadsSolver {
  public:
-  /// Work decomposition per DP layer.
-  enum class Mode {
-    kStateParallel,  ///< one task per state S; each scans all N actions
-    kPairParallel,   ///< one task per (S, i) pair into an M buffer, then a
-                     ///< parallel per-state min — the paper's decomposition
-                     ///< transplanted to shared memory
-  };
-
   /// `workers` == 0 -> hardware concurrency.
-  explicit ThreadsSolver(std::size_t workers = 0,
-                         Mode mode = Mode::kStateParallel)
-      : pool_(workers), mode_(mode) {}
+  explicit ThreadsSolver(std::size_t workers = 0) : pool_(workers) {}
 
   SolveResult solve(const Instance& ins) const;
 
@@ -55,7 +44,6 @@ class ThreadsSolver {
   mutable util::ThreadPool pool_;
   mutable SolveArena arena_;  ///< reused across solves, like pool_
   mutable std::atomic<bool> in_solve_{false};  ///< debug re-entrancy guard
-  Mode mode_;
 };
 
 }  // namespace ttp::tt

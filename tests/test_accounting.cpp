@@ -47,16 +47,12 @@ Expected threads_formula(int k, int num_actions, std::uint64_t width) {
 TEST(StepAccounting, ThreadsMatchesDocumentedFormula) {
   const Instance ins = accounting_instance(6);
   for (std::size_t width : {1u, 2u, 3u, 5u, 8u}) {
-    for (auto mode : {ThreadsSolver::Mode::kStateParallel,
-                      ThreadsSolver::Mode::kPairParallel}) {
-      const auto res = ThreadsSolver(width, mode).solve(ins);
-      const Expected want =
-          threads_formula(ins.k(), ins.num_actions(), width);
-      EXPECT_EQ(res.steps.parallel_steps, want.parallel_steps)
-          << "width " << width;
-      EXPECT_EQ(res.steps.total_ops, want.total_ops) << "width " << width;
-      EXPECT_EQ(res.steps.route_steps, 0u) << "width " << width;
-    }
+    const auto res = ThreadsSolver(width).solve(ins);
+    const Expected want = threads_formula(ins.k(), ins.num_actions(), width);
+    EXPECT_EQ(res.steps.parallel_steps, want.parallel_steps)
+        << "width " << width;
+    EXPECT_EQ(res.steps.total_ops, want.total_ops) << "width " << width;
+    EXPECT_EQ(res.steps.route_steps, 0u) << "width " << width;
   }
 }
 

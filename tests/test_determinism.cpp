@@ -54,8 +54,6 @@ void expect_identical_argmins(const Instance& ins) {
   const std::vector<Backend> backends = {
       {"threads(1)", ThreadsSolver(1).solve(ins)},
       {"threads(3)", ThreadsSolver(3).solve(ins)},
-      {"threads-pair(2)",
-       ThreadsSolver(2, ThreadsSolver::Mode::kPairParallel).solve(ins)},
       {"hypercube", HypercubeSolver().solve(ins)},
       {"ccc", CccSolver().solve(ins)},
       {"state_parallel", StateParallelSolver().solve(ins)},

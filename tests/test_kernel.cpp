@@ -6,14 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <vector>
 
 #include "tt/generator.hpp"
 #include "tt/kernel.hpp"
 #include "tt/solver_batch.hpp"
 #include "tt/solver_sequential.hpp"
-#include "tt/solver_threads.hpp"
 #include "tt/validate.hpp"
 #include "util/bits.hpp"
 #include "util/rng.hpp"
@@ -115,44 +113,6 @@ TEST(Kernel, TileBoundariesDoNotChangeResults) {
   const auto res = SequentialSolver().solve(ins);
   EXPECT_EQ(res.table.cost, legacy.cost);
   EXPECT_EQ(res.table.best_action, legacy.best_action);
-}
-
-TEST(Kernel, PairPhaseMatchesActionValue) {
-  const Instance ins = random_for(5, 6);
-  const std::vector<double>& wt = ins.subset_weight_table();
-  const DpTable legacy = legacy_solve(ins);
-  ActionSoA soa;
-  soa.build(ins);
-  const std::size_t n = static_cast<std::size_t>(ins.num_actions());
-  // Evaluates layer j's pairs against finalized lower layers in pieces
-  // split at `cuts` — uneven on purpose, so pieces begin and end mid-row
-  // on both sides of the test/treatment boundary — then reduces them.
-  const auto check_layer = [&](int j, std::vector<std::size_t> cuts) {
-    const auto layer = util::layer_subsets(ins.k(), j);
-    std::vector<double> m(layer.size() * n, -1.0);
-    cuts.insert(cuts.begin(), 0);
-    cuts.push_back(m.size());
-    for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
-      eval_pairs(soa, wt.data(), legacy.cost.data(), layer.data(), cuts[c],
-                 cuts[c + 1], m.data());
-    }
-    for (std::size_t idx = 0; idx < m.size(); ++idx) {
-      const double want = action_value(ins, legacy.cost, wt, layer[idx / n],
-                                       static_cast<int>(idx % n));
-      // Bytes, not ==: a -0.0 vs +0.0 drift would pass ==.
-      EXPECT_EQ(std::memcmp(&m[idx], &want, sizeof want), 0)
-          << "j=" << j << " idx=" << idx;
-    }
-    // And the reduce phase reproduces the legacy minimization.
-    std::vector<double> cost(legacy.cost);
-    std::vector<int> best(legacy.best_action);
-    reduce_pairs(soa, m.data(), layer.data(), 0, layer.size(), cost.data(),
-                 best.data());
-    EXPECT_EQ(cost, legacy.cost) << "j=" << j;
-    EXPECT_EQ(best, legacy.best_action) << "j=" << j;
-  };
-  check_layer(ins.k(), {3});                      // the top layer: one state
-  check_layer(3, {n / 2, 3 * n + 1, 5 * n - 2});  // C(6,3) = 20 states
 }
 
 TEST(SolveArena, ReusedAcrossSolvesAndUniverseSizes) {

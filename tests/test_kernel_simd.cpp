@@ -259,8 +259,6 @@ TEST(KernelSimd, ForcedVariantDeterminismAcrossAllBackends) {
         {"sequential", SequentialSolver().solve(ins)},
         {"threads(1)", ThreadsSolver(1).solve(ins)},
         {"threads(3)", ThreadsSolver(3).solve(ins)},
-        {"threads-pair(2)",
-         ThreadsSolver(2, ThreadsSolver::Mode::kPairParallel).solve(ins)},
         {"hypercube", HypercubeSolver().solve(ins)},
         {"ccc", CccSolver().solve(ins)},
         {"state_parallel", StateParallelSolver().solve(ins)},

@@ -95,7 +95,9 @@ TEST(Propagation1, WalksLevelsWithPromotion) {
       const bool in_group =
           util::popcount(static_cast<util::Mask>(p)) == level;
       EXPECT_EQ(m.at(p).sender, in_group) << "level " << level << " PE " << p;
-      if (in_group) EXPECT_EQ(m.at(p).value, 7u);
+      if (in_group) {
+        EXPECT_EQ(m.at(p).value, 7u);
+      }
     }
   }
 }

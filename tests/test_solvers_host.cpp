@@ -156,20 +156,6 @@ TEST(ThreadsSolver, WidthOneMatchesSequential) {
   EXPECT_EQ(max_table_diff(seq.table, thr.table), 0.0);
 }
 
-TEST(ThreadsSolver, PairParallelModeBitwiseIdentical) {
-  // The (S,i)-pair decomposition (the paper's, on shared memory) must give
-  // the same table and argmins as the state-parallel mode.
-  for (std::uint64_t seed = 0; seed < 6; ++seed) {
-    util::Rng rng(seed);
-    const Instance ins = random_instance(6, RandomOptions{}, rng);
-    const auto seq = SequentialSolver().solve(ins);
-    const auto pp =
-        ThreadsSolver(3, ThreadsSolver::Mode::kPairParallel).solve(ins);
-    EXPECT_EQ(max_table_diff(seq.table, pp.table), 0.0) << seed;
-    EXPECT_EQ(seq.table.best_action, pp.table.best_action) << seed;
-  }
-}
-
 TEST(SequentialSolver, LargeUniverseSmoke) {
   // k = 20: a million states — the scale where the paper's machine would
   // host one PE per (S, i). Sequential memory/time smoke.

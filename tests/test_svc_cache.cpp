@@ -1,5 +1,5 @@
-// Sharded LRU procedure cache: hit/miss flow, byte-accounted eviction, TTL
-// expiry on an injected clock, and counter bookkeeping.
+// Sharded LRU procedure cache: hit/miss flow, byte-accounted eviction, and
+// counter bookkeeping.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -9,8 +9,6 @@
 
 namespace ttp::svc {
 namespace {
-
-using Clock = std::chrono::steady_clock;
 
 CanonKey key(std::uint64_t n) {
   return hash128("key-" + std::to_string(n));
@@ -85,28 +83,6 @@ TEST(SvcCache, ReinsertReplacesAndReaccounts) {
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.bytes(), 300u);
   EXPECT_EQ(cache.find(key(1))->cost, 2.0);
-}
-
-TEST(SvcCache, TtlExpiryOnInjectedClock) {
-  obs::MetricsRegistry m;
-  Clock::time_point fake_now{};  // epoch
-  CacheConfig cfg;
-  cfg.ttl = std::chrono::seconds(10);
-  cfg.now = [&fake_now] { return fake_now; };
-  ProcedureCache cache(cfg, m);
-
-  cache.insert(key(1), proc_of_bytes(100));
-  fake_now += std::chrono::seconds(9);
-  EXPECT_NE(cache.find(key(1)), nullptr) << "entry should survive inside TTL";
-  fake_now += std::chrono::seconds(2);  // now 11s after insert
-  EXPECT_EQ(cache.find(key(1)), nullptr) << "entry should expire past TTL";
-  EXPECT_EQ(m.get("svc.cache.expired"), 1u);
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.bytes(), 0u);
-
-  // A fresh insert after expiry serves again (its TTL restarts from now).
-  cache.insert(key(1), proc_of_bytes(100));
-  EXPECT_NE(cache.find(key(1)), nullptr);
 }
 
 TEST(SvcCache, ShardCountRoundsToPowerOfTwo) {

@@ -261,12 +261,12 @@ TEST(SvcFaultInjector, StalledReadsTripTheFrameDeadline) {
 TEST(SvcServeArgs, ParsesEveryFlag) {
   const char* argv[] = {
       "ttp_serve",          "--port=7070",          "--workers=3",
-      "--cache-mb=16",      "--shards=4",           "--ttl-ms=500",
-      "--max-k=12",         "--max-actions=99",     "--max-queue=7",
-      "--max-batch=5",      "--batch-delay-us=50",  "--slow-ms=10",
-      "--slow-log=/tmp/x",  "--flight-cap=64",      "--max-conns=9",
-      "--idle-timeout-ms=1000", "--read-timeout-ms=200",
-      "--drain-timeout-ms=3000", "--max-frame-bytes=4096",
+      "--cache-mb=16",      "--shards=4",           "--max-k=12",
+      "--max-actions=99",   "--max-queue=7",        "--max-batch=5",
+      "--batch-delay-us=50", "--slow-ms=10",        "--slow-log=/tmp/x",
+      "--flight-cap=64",    "--max-conns=9",        "--idle-timeout-ms=1000",
+      "--read-timeout-ms=200", "--drain-timeout-ms=3000",
+      "--max-frame-bytes=4096",
   };
   ServeArgs args;
   std::string error;
@@ -305,6 +305,7 @@ TEST(SvcServeArgs, RejectsWrappingAndGarbageValues) {
       {"ttp_serve", "--drain-timeout-ms=0"},  //
       {"ttp_serve", "--port="},         // empty value
       {"ttp_serve", "--frobnicate=1"},  // unknown flag
+      {"ttp_serve", "--ttl-ms=500"},    // no such flag: entries never expire
   };
   for (const auto& argv : bad) {
     ServeArgs args;
